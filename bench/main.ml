@@ -1275,9 +1275,9 @@ let topology_bench () =
           let node_s, node_best =
             best_of (fun () ->
                 Result.get_ok
-                  (Search.optimize_topology
-                     ~config_of:(config_of topo_node) ~topo:topo_node ~procs
-                     ext tree))
+                  (Planner.solve_tree
+                     (Planner.shaped topo_node ~procs)
+                     Planner.Exact ext tree))
           in
           let square_node =
             Result.get_ok (Search.optimize (config_of topo_node square) ext tree)
@@ -1287,7 +1287,7 @@ let topology_bench () =
           let saving =
             if square_node_c = 0.0 then 0.0 else 1.0 -. (node_c /. square_node_c)
           in
-          let intra = Search.intra_axis_count topo_node node_best.Plan.grid in
+          let intra = Planner.intra_axis_count topo_node node_best.Plan.grid in
           Format.printf
             "%-18s uniform %s %9.4f s comm (replay identical %b)  node \
              %s %9.4f s comm (%d intra axes, %.2f ms search)  vs square \

@@ -33,29 +33,6 @@ let or_die_tce = function
     Format.eprintf "error: %s@." (Tce_error.to_string e);
     exit (Tce_error.exit_code e)
 
-let machine_of ~mem_gb ~flops_mhz ~latency_us ~bandwidth_mbs =
-  match (latency_us, bandwidth_mbs) with
-  | None, None ->
-    let base = Params.itanium_2003 in
-    {
-      base with
-      Params.mem_per_node_bytes =
-        (match mem_gb with
-        | None -> base.Params.mem_per_node_bytes
-        | Some gb -> gb *. 1e9);
-      flop_rate =
-        (match flops_mhz with
-        | None -> base.Params.flop_rate
-        | Some m -> m *. 1e6);
-    }
-  | lat, bw ->
-    Params.uniform ~name:"uniform"
-      ~latency:(Option.value ~default:6.4e-2 (Option.map (fun u -> u *. 1e-6) lat))
-      ~bandwidth:(Option.value ~default:13.6e6 (Option.map (fun m -> m *. 1e6) bw))
-      ~flop_rate:(Option.value ~default:6.15e8 (Option.map (fun m -> m *. 1e6) flops_mhz))
-      ~procs_per_node:2
-      ~mem_per_node_bytes:(Option.value ~default:4e9 (Option.map (fun gb -> gb *. 1e9) mem_gb))
-
 (* ---------------- arguments ---------------- *)
 
 let file_arg =
@@ -234,29 +211,6 @@ let traced_runs ~params ~procs ~ext ~tree ~plan ~overlap =
   let inputs = Sequence.random_inputs ext' ~seed:20260806 seq in
   ignore (Multicore.run_plan grid' ext' plan' ~inputs : Dense.t)
 
-(* The multi-term sum path (problems whose last definition is a [+]/[-]
-   sum of contraction terms): the sum optimizer with cross-term CSE, or
-   its greedy no-sharing rung. The plan-replay extras (--code, --faults,
-   --trace) are single-tree machinery and are reported as ignored. *)
-let optimize_sum_path ~cfg ~ext ~fusion ~search_jobs ~beam ~strategy
-    ~extras_requested se =
-  let plan =
-    or_die
-      (match (strategy, fusion) with
-      | `Exact, `All ->
-        Search.optimize_sum ~jobs:search_jobs ?beam cfg ext se
-      | `Greedy, `All -> Search.greedy_sum ~jobs:search_jobs cfg ext se
-      | _ ->
-        Error
-          "multi-term sums support --strategy exact or greedy with --fusion \
-           all")
-  in
-  Format.printf "%a@." (Plan.pp_sum ext) plan;
-  if extras_requested then
-    Format.eprintf
-      "note: --code, --faults and --trace apply to single-term problems; \
-       ignored for a multi-term sum@."
-
 (* Everything printed after a single-tree plan is found: the plan, the
    paper-style table, the overlap law, and the --code/--faults/--trace
    extras. Shared by the uniform and node-aware paths; only the replan
@@ -289,119 +243,67 @@ let report_plan ~params ~procs ~ext ~tree ~plan ~code ~overlap_factor ~faults
   | _ -> ()
 
 let optimize_cmd =
-  let run file procs mem_gb flops_mhz latency_us bandwidth_mbs fusion code
+  let run file procs mem_gb mflops latency_us bandwidth_mbs fusion code
       overlap_factor faults search_jobs beam strategy trace topology nodes
       intra_latency_us intra_bandwidth_mbs =
     let sink = Option.map (fun _ -> Obs.create ()) trace in
     Option.iter Obs.install sink;
     Fun.protect ~finally:Obs.uninstall @@ fun () ->
     let problem = or_die (Parser.parse_file file) in
-    let params = machine_of ~mem_gb ~flops_mhz ~latency_us ~bandwidth_mbs in
     let ext = problem.Problem.extents in
     let computation = or_die (Opmin.optimize_to_computation problem) in
-    match topology with
-    | `Node ->
-      (* Node-aware shape search (DESIGN.md §17): enumerate R x C
-         factorizations under a per-link-class characterization. *)
-      let ppn =
-        match nodes with
-        | None -> params.Params.procs_per_node
-        | Some n ->
-          if n <= 0 || procs mod n <> 0 then
-            or_die
-              (Error
-                 (Printf.sprintf
-                    "--nodes %d does not evenly divide %d processors" n procs))
-          else procs / n
-      in
-      let params = { params with Params.procs_per_node = ppn } in
-      let topo =
-        Topology.node_aware params
-          ~intra_latency:(intra_latency_us *. 1e-6)
-          ~intra_bandwidth:(intra_bandwidth_mbs *. 1e6)
-      in
-      let config_of g =
-        Search.default_config ~grid:g ~params
-          ~rcost:(Rcost.of_topology topo g) ()
-      in
-      (match computation with
-      | Opmin.Summed _ ->
-        or_die
-          (Error
-             "multi-term sums plan on the uniform topology; drop --topology \
-              node")
-      | Opmin.Single tree ->
-        let plan =
-          or_die
-            (match (strategy, fusion) with
-            | `Exact, `All ->
-              Search.optimize_topology ~jobs:search_jobs ?beam ~config_of
-                ~topo ~procs ext tree
-            | _ ->
-              Error
-                "--topology node searches grid shapes with --strategy exact \
-                 --fusion all")
-        in
-        Format.printf "%a@.chosen grid: %a (%d of 2 axes intra-node)@."
-          Topology.pp topo Grid.pp plan.Plan.grid
-          (Search.intra_axis_count topo plan.Plan.grid);
-        report_plan ~params ~procs ~ext ~tree ~plan ~code ~overlap_factor
-          ~faults ~trace ~sink
-          ~replan:(fun ~healthy ->
-            Degrade.replan_best ~config_of ~topo ext tree ~healthy))
-    | `Uniform ->
-    let grid, rcost = setup procs params in
-    let cfg = Search.default_config ~grid ~params ~rcost () in
-    match computation with
-    | Opmin.Summed se ->
-      optimize_sum_path ~cfg ~ext ~fusion ~search_jobs ~beam ~strategy
-        ~extras_requested:(code || faults <> None || trace <> None)
-        se
-    | Opmin.Single tree ->
+    let machine =
+      or_die
+        (Planner.of_request ?mem_gb ?mflops ?latency_us ?bandwidth_mbs ?nodes
+           ~intra_latency_us ~intra_bandwidth_mbs ~topology ~procs ())
+    in
+    let strategy =
+      match (strategy, beam) with
+      | `Exact, None -> Planner.Exact
+      | `Exact, Some k -> Planner.Beam k
+      | `Greedy, _ -> Planner.Greedy
+      | `Anytime, _ ->
+        Planner.Anytime
+          (fun r ->
+            Format.eprintf "anytime: width %s  best cost %.4e%s@."
+              (match r.Search.width with
+              | Some w -> string_of_int w
+              | None -> "exact")
+              r.Search.cost
+              (if r.Search.improved then "  (improved)" else ""))
+    in
+    (match (fusion, strategy) with
+    | `Memmin, (Planner.Greedy | Planner.Anytime _) ->
+      or_die
+        (Error
+           "--strategy greedy/anytime applies to the search modes \
+            (--fusion all/none); --fusion memmin runs its own exact pass")
+    | _ -> ());
     let plan =
       or_die
-        (match (strategy, fusion) with
-        | `Exact, `All ->
-          Baselines.integrated ~jobs:search_jobs ?beam cfg ext tree
-        | `Exact, `None ->
-          Baselines.fusion_free ~jobs:search_jobs ?beam cfg ext tree
-        | `Exact, `Memmin ->
-          Baselines.memory_minimal ~jobs:search_jobs ?beam cfg ext tree
-        | (`Greedy | `Anytime), `Memmin ->
-          Error
-            "--strategy greedy/anytime applies to the search modes \
-             (--fusion all/none); --fusion memmin runs its own exact pass"
-        | (`Greedy | `Anytime) as s, fusion ->
-          let cfg =
-            {
-              cfg with
-              Search.fusion_mode =
-                (match fusion with
-                | `None -> Search.No_fusion
-                | _ -> Search.Enumerate);
-            }
-          in
-          (match s with
-          | `Greedy -> Search.greedy ~jobs:search_jobs cfg ext tree
-          | `Anytime ->
-            Search.anytime ~jobs:search_jobs
-              ~on_round:(fun r ->
-                Format.eprintf "anytime: width %s  best cost %.4e%s@."
-                  (match r.Search.width with
-                  | Some w -> string_of_int w
-                  | None -> "exact")
-                  r.Search.cost
-                  (if r.Search.improved then "  (improved)" else ""))
-              cfg ext tree))
+        (Planner.solve ~jobs:search_jobs ~fusion machine strategy ext
+           computation)
     in
-    let config_of g =
-      Search.default_config ~grid:g ~params
-        ~rcost:(Rcost.of_params params ~side:(Grid.side g))
-        ()
-    in
-    report_plan ~params ~procs ~ext ~tree ~plan ~code ~overlap_factor ~faults
-      ~trace ~sink
-      ~replan:(fun ~healthy -> Degrade.replan ~config_of ext tree ~healthy)
+    (* A shape-searching machine reports the topology and the grid it chose. *)
+    Option.iter
+      (fun topo ->
+        let grid = Planner.grid plan in
+        Format.printf "%a@.chosen grid: %a (%d of 2 axes intra-node)@."
+          Topology.pp topo Grid.pp grid
+          (Planner.intra_axis_count topo grid))
+      (Planner.topology machine);
+    match (plan, computation) with
+    | Planner.Tree plan, Opmin.Single tree ->
+      report_plan ~params:(Planner.params machine) ~procs ~ext ~tree ~plan ~code
+        ~overlap_factor ~faults ~trace ~sink
+        ~replan:(fun ~healthy -> Degrade.replan_best machine ext tree ~healthy)
+    | Planner.Sum s, _ ->
+      Format.printf "%a@." (Plan.pp_sum ext) s;
+      if code || faults <> None || trace <> None then
+        Format.eprintf
+          "note: --code, --faults and --trace apply to single-term problems; \
+           ignored for a multi-term sum@."
+    | Planner.Tree _, _ -> assert false (* a tree always plans to a tree *)
   in
   Cmd.v
     (Cmd.info "optimize"

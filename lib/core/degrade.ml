@@ -48,13 +48,17 @@ let survivor_procs topo grid =
       "degrade: losing a node leaves no surviving processors to compute with"
   else Ok procs
 
-let replan_best ~config_of ~topo ext tree ~healthy =
+let replan_best m ext tree ~healthy =
   let ( let* ) = Result.bind in
-  let* procs = survivor_procs topo healthy.Plan.grid in
-  let* degraded =
-    Search.optimize_topology ~config_of ~topo ~procs ext tree
-  in
-  Ok (report_of ~healthy ~degraded ~degraded_grid:degraded.Plan.grid)
+  match Planner.topology m with
+  | None -> replan ~config_of:(Planner.config_of m) ext tree ~healthy
+  | Some topo ->
+    let* procs = survivor_procs topo healthy.Plan.grid in
+    let survivors =
+      Planner.shaped ?mem_limit_bytes:(Planner.mem_limit_bytes m) topo ~procs
+    in
+    let* degraded = Planner.solve_tree survivors Planner.Exact ext tree in
+    Ok (report_of ~healthy ~degraded ~degraded_grid:degraded.Plan.grid)
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -39,13 +39,14 @@ val survivor_procs : Topology.t -> Grid.t -> (int, string) result
     ([procs − procs_per_node]); an error when none survive. *)
 
 val replan_best :
-  config_of:(Grid.t -> Search.config) -> topo:Topology.t -> Extents.t
-  -> Tree.t -> healthy:Plan.t -> (report, string) result
-(** Topology-aware replanning: rather than requiring the next-smaller
-    square, search every R × C factorization of the surviving rank count
-    ({!Search.optimize_topology}) and keep the cheapest shape — e.g. 12
-    ranks losing a 2-processor node replan onto the best of
-    1×10/2×5/5×2/10×1. The report's [degraded_grid] is the chosen
-    shape. *)
+  Planner.machine -> Extents.t -> Tree.t -> healthy:Plan.t
+  -> (report, string) result
+(** Replan on the best grid the machine can still use. The paper's
+    square machine falls back to {!replan} (the next-smaller square). A
+    shape-searching machine drops one whole node and plans on every
+    R × C factorization of the surviving rank count, keeping the
+    cheapest shape ({!Planner.solve}) — e.g. 12 ranks losing a
+    2-processor node replan onto the best of 1×10/2×5/5×2/10×1. The
+    report's [degraded_grid] is the chosen shape. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -25,3 +25,4 @@ module Variant = Tce_cannon.Variant
 module Schedule = Tce_cannon.Schedule
 module Fusionset = Tce_fusion.Fusionset
 module Obs = Tce_obs.Obs
+module Opmin = Tce_opmin.Opmin

@@ -912,8 +912,10 @@ let assemble_solution cfg ext best =
          Plan.assemble ~ext ~grid:cfg.grid ~params:cfg.params ~flops
            ~mem:best.mem ~presums:best.presums best.steps))
 
-let run ?(select = better) ?(jobs = 1) ?(memo = true) ?beam ?fusion_cap
-    ?cancel ?pool cfg ext tree ~prune =
+(* The preamble every entry point shares: argument checks, then [f]
+   runs on the caller's pool, on a fresh [jobs]-wide one, or with none.
+   [f] receives the effective width. *)
+let with_search ?(jobs = 1) ?beam ?pool cfg f =
   let ( let* ) = Result.bind in
   let* () =
     if jobs < 1 then err "search: jobs must be >= 1 (got %d)" jobs else Ok ()
@@ -924,35 +926,37 @@ let run ?(select = better) ?(jobs = 1) ?(memo = true) ?beam ?fusion_cap
     | _ -> Ok ()
   in
   let* () = check_grid cfg in
+  match pool with
+  | Some p -> f ~jobs:(Parsearch.jobs p) (Some p)
+  | None ->
+    if jobs > 1 then Parsearch.with_pool ~jobs (fun p -> f ~jobs (Some p))
+    else f ~jobs None
+
+(* One bottom-up solve of a whole tree under a fresh memo (memo entries
+   do not capture pinned distributions, so they must not outlive one
+   solve), returning the root's full solution list. *)
+let solve_root ?(memo = true) ?beam ?fusion_cap ?cancel ?(pinned = SMap.empty)
+    cfg ext pool tree ~prune =
+  let ( let* ) = Result.bind in
   let tree = Tree.fuse_mult_sum tree in
   let* () = Tree.validate tree in
-  let memo_state = if memo then Some (memo_create ()) else None in
-  let jobs = match pool with Some p -> Parsearch.jobs p | None -> jobs in
-  let solve_all pool =
-    let ctx =
-      {
-        cfg;
-        ext;
-        prune;
-        beam;
-        fusion_cap;
-        pool;
-        memo = memo_state;
-        cancel;
-        pinned = SMap.empty;
-      }
-    in
-    Obs.span ~cat:"search"
-      ~args:[ ("jobs", string_of_int jobs) ]
-      "search.solve"
-      (fun () -> solve ctx ~parent:None tree)
+  let memo = if memo then Some (memo_create ()) else None in
+  let ctx =
+    { cfg; ext; prune; beam; fusion_cap; pool; memo; cancel; pinned }
   in
-  let* sols =
-    match pool with
-    | Some p -> solve_all (Some p)
-    | None ->
-      if jobs > 1 then Parsearch.with_pool ~jobs (fun p -> solve_all (Some p))
-      else solve_all None
+  Result.map (fun sols -> (sols, memo)) (solve ctx ~parent:None tree)
+
+let run ?(select = better) ?jobs ?memo ?beam ?fusion_cap ?cancel ?pool cfg
+    ext tree ~prune =
+  let ( let* ) = Result.bind in
+  let* sols, memo_state =
+    with_search ?jobs ?beam ?pool cfg (fun ~jobs pool ->
+        Obs.span ~cat:"search"
+          ~args:[ ("jobs", string_of_int jobs) ]
+          "search.solve"
+          (fun () ->
+            solve_root ?memo ?beam ?fusion_cap ?cancel cfg ext pool tree
+              ~prune))
   in
   (match memo_state with
   | Some m when Obs.enabled () ->
@@ -987,66 +991,6 @@ let optimize_min_memory ?jobs ?memo ?beam ?cancel ?pool cfg ext tree =
     | c -> c
   in
   run ~select ?jobs ?memo ?beam ?cancel ?pool cfg ext tree ~prune:true
-
-(* --- Topology-aware grid-shape selection (DESIGN.md §17) --------------- *)
-
-let shape_candidates ~procs =
-  if procs <= 0 then []
-  else
-    List.filter_map
-      (fun rows ->
-        if procs mod rows = 0 then
-          Some (Grid.create_rect_exn ~rows ~cols:(procs / rows))
-        else None)
-      (List.init procs (fun k -> k + 1))
-
-let intra_axis_count topo grid =
-  List.length
-    (List.filter
-       (fun axis ->
-         match Topology.axis_link topo grid ~axis with
-         | Topology.Intra -> true
-         | Topology.Inter -> false)
-       [ 1; 2 ])
-
-(* Deterministic shape choice: cheapest plan first; ties prefer more
-   node-aligned (intra-node) axes, then the more nearly square shape,
-   then fewer rows. The per-shape solver is jobs-invariant and shapes
-   are visited in a fixed order, so the choice is too. *)
-let best_shape ~solve ~topo ~procs =
-  match shape_candidates ~procs with
-  | [] ->
-    Error (Printf.sprintf "search: no grid shapes for %d processors" procs)
-  | shapes ->
-    let score grid plan =
-      ( Plan.comm_cost plan,
-        -intra_axis_count topo grid,
-        abs (Grid.rows grid - Grid.cols grid),
-        Grid.rows grid )
-    in
-    let best =
-      List.fold_left
-        (fun acc grid ->
-          match solve grid with
-          | Error e -> (
-            match acc with `Err _ -> `Err e | `Best _ -> acc)
-          | Ok plan -> (
-            let s = score grid plan in
-            match acc with
-            | `Best (s0, _) when compare s0 s <= 0 -> acc
-            | `Best _ | `Err _ -> `Best (s, plan)))
-        (`Err "no feasible shape") shapes
-    in
-    (match best with `Best (_, plan) -> Ok plan | `Err e -> Error e)
-
-let optimize_topology ?jobs ?memo ?beam ?cancel ~config_of ~topo ~procs ext
-    tree =
-  best_shape ~topo ~procs ~solve:(fun grid ->
-      optimize ?jobs ?memo ?beam ?cancel (config_of grid) ext tree)
-
-let brute_force_topology ~config_of ~topo ~procs ext tree =
-  best_shape ~topo ~procs ~solve:(fun grid ->
-      brute_force (config_of grid) ext tree)
 
 (* --- Anytime: greedy seed, then widening beam refinement --------------- *)
 
@@ -1135,35 +1079,10 @@ let anytime ?jobs ?memo ?(widths = [ 4; 16; 64 ]) ?on_round ?cancel ?pool cfg
   go None rounds
 
 let solution_count ?jobs ?memo ?beam cfg ext tree =
-  let ( let* ) = Result.bind in
-  let* () = check_grid cfg in
-  let tree = Tree.fuse_mult_sum tree in
-  let* () = Tree.validate tree in
-  let jobs = Option.value jobs ~default:1 in
-  let memo_state =
-    if Option.value memo ~default:true then Some (memo_create ()) else None
-  in
-  let solve_all pool =
-    let ctx =
-      {
-        cfg;
-        ext;
-        prune = true;
-        beam;
-        fusion_cap = None;
-        pool;
-        memo = memo_state;
-        cancel = None;
-        pinned = SMap.empty;
-      }
-    in
-    solve ctx ~parent:None tree
-  in
-  let* sols =
-    if jobs > 1 then Parsearch.with_pool ~jobs (fun p -> solve_all (Some p))
-    else solve_all None
-  in
-  Ok (List.length sols)
+  with_search ?jobs ?beam cfg (fun ~jobs:_ pool ->
+      Result.map
+        (fun (sols, _) -> List.length sols)
+        (solve_root ?memo ?beam cfg ext pool tree ~prune:true))
 
 (* --- Sum optimization: multi-term with cross-term CSE (DESIGN.md §16) --
 
@@ -1210,44 +1129,20 @@ let map_result f l =
   in
   go [] l
 
-let run_sum ?(select = better) ?(jobs = 1) ?(memo = true) ?beam ?fusion_cap
-    ?cancel ?pool ?(max_groups = 3) cfg ext se ~prune =
+let run_sum ?(select = better) ?jobs ?memo ?beam ?fusion_cap ?cancel ?pool
+    ?(max_groups = 3) cfg ext se ~prune =
   let ( let* ) = Result.bind in
-  let* () =
-    if jobs < 1 then err "search: jobs must be >= 1 (got %d)" jobs else Ok ()
-  in
-  let* () =
-    match beam with
-    | Some k when k < 1 -> err "search: beam width must be >= 1 (got %d)" k
-    | _ -> Ok ()
-  in
-  let* () = check_grid cfg in
+  with_search ?jobs ?beam ?pool cfg @@ fun ~jobs:_ pool ->
   let out = Sumexpr.out se in
   let groups =
     if max_groups <= 0 then [] else Sumexpr.detect ~max_groups ext se
   in
   let limit = mem_limit cfg in
   let rows = Grid.rows cfg.grid and cols = Grid.cols cfg.grid in
-  let with_pool f =
-    match pool with
-    | Some p -> f (Some p)
-    | None ->
-      if jobs > 1 then Parsearch.with_pool ~jobs (fun p -> f (Some p))
-      else f None
-  in
-  with_pool @@ fun pool ->
-  (* One bottom-up solve, returning the node's full solution list. Fresh
-     memo per call: the memo key does not capture pinned distributions,
-     so entries must not leak between solves under different pins. *)
-  let solve_tree ?(pinned = SMap.empty) tree =
-    let memo_state = if memo then Some (memo_create ()) else None in
-    let ctx =
-      { cfg; ext; prune; beam; fusion_cap; pool; memo = memo_state; cancel;
-        pinned }
-    in
-    let tree = Tree.fuse_mult_sum tree in
-    let* () = Tree.validate tree in
-    solve ctx ~parent:None tree
+  let solve_tree ?pinned tree =
+    Result.map fst
+      (solve_root ?memo ?beam ?fusion_cap ?cancel ?pinned cfg ext pool tree
+         ~prune)
   in
   (* Each group's representative, solved once; [] when infeasible alone
      (masks selecting it are skipped). *)

@@ -187,46 +187,6 @@ val brute_force : config -> Extents.t -> Tree.t -> (Plan.t, string) result
     whole tree with no dominance pruning and no memo cache — exponential;
     the test oracle for {!optimize}. *)
 
-(** {2 Topology-aware grid-shape selection (DESIGN.md §17)}
-
-    On a node-aware {!Topology} the network is no longer symmetric in the
-    grid axes: a rotation along an axis whose rings stay inside a node
-    moves over the fast intra-node link. The shape search enumerates
-    every R × C factorization of the processor count (the rank → node
-    mapping is the fixed row-major packing, so the shape fully determines
-    which axes are node-aligned), solves each with a per-shape
-    characterization, and keeps the cheapest plan. Ties are broken
-    deterministically: more node-aligned axes first, then the more
-    nearly square shape, then fewer rows — so under a uniform topology a
-    perfect-square [procs] picks the square grid unless a degenerate
-    shape is {e strictly} cheaper (a 1 × P axis rotates for free, which
-    can beat the square on skewed instances), and whenever the square is
-    picked the plan is byte-identical to {!optimize} on that grid. *)
-
-val shape_candidates : procs:int -> Grid.t list
-(** Every R × C grid with [R · C = procs], in increasing [R] order
-    (includes the degenerate [1 × P] and [P × 1] shapes). *)
-
-val intra_axis_count : Topology.t -> Grid.t -> int
-(** How many of the grid's two axes rotate entirely inside nodes
-    ({!Topology.axis_link}) — the tie-break's node-alignment measure. *)
-
-val optimize_topology :
-  ?jobs:int -> ?memo:bool -> ?beam:int -> ?cancel:(unit -> bool)
-  -> config_of:(Grid.t -> config) -> topo:Topology.t -> procs:int
-  -> Extents.t -> Tree.t -> (Plan.t, string) result
-(** {!optimize} over every {!shape_candidates} shape; [config_of] builds
-    the per-shape config (its [rcost] is expected to come from
-    {!Rcost.of_topology} on the same topology). The returned plan's
-    [grid] field carries the chosen shape. Errors only when every shape
-    fails. Byte-identical across [?jobs] settings. *)
-
-val brute_force_topology :
-  config_of:(Grid.t -> config) -> topo:Topology.t -> procs:int -> Extents.t
-  -> Tree.t -> (Plan.t, string) result
-(** {!brute_force} over every shape with the same tie-break — the test
-    oracle for {!optimize_topology}. *)
-
 (** {2 Multi-term sums with cross-term CSE (DESIGN.md §16)}
 
     A sum [O = Σᵢ cᵢ·Tᵢ] is planned in two phases: the cross-term shared

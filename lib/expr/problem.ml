@@ -278,6 +278,18 @@ let output t =
     | [] -> assert false (* create requires at least one definition *)
   end
 
+(* A coefficient the parser reads back to the same float: fixed-point
+   (the DSL has no exponent syntax) with the fewest decimals that
+   round-trip, and at least one so a large magnitude is never read as
+   an integer literal. *)
+let coeff_text mag =
+  let rec go digits =
+    let text = Printf.sprintf "%.*f" digits mag in
+    if digits >= 1100 || Float.equal (float_of_string text) mag then text
+    else go (digits + 1)
+  in
+  go 1
+
 let pp_sumdef ppf sd =
   let pp_factors =
     Format.pp_print_list
@@ -293,7 +305,7 @@ let pp_sumdef ppf sd =
       else if a.coeff < 0.0 then Format.fprintf ppf " -"
       else Format.fprintf ppf " +";
       let mag = Float.abs a.coeff in
-      if mag <> 1.0 then Format.fprintf ppf " %g *" mag;
+      if mag <> 1.0 then Format.fprintf ppf " %s *" (coeff_text mag);
       (match a.sum with
       | [] -> ()
       | k -> Format.fprintf ppf " sum[%a]" Index.pp_list k);
@@ -301,7 +313,11 @@ let pp_sumdef ppf sd =
     sd.addends
 
 let pp ppf t =
-  Format.fprintf ppf "extents %a@." Extents.pp t.extents;
+  Format.fprintf ppf "extents %s@."
+    (String.concat ", "
+       (List.map
+          (fun (i, n) -> Printf.sprintf "%s=%d" (Index.name i) n)
+          (Extents.bindings t.extents)));
   Format.fprintf ppf "input %a@."
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")

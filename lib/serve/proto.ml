@@ -40,11 +40,6 @@ let fusion_of_string = function
   | "memmin" -> Ok `Memmin
   | s -> Error (Printf.sprintf "unknown fusion mode %S" s)
 
-let fusion_to_string = function
-  | `All -> "all"
-  | `None -> "none"
-  | `Memmin -> "memmin"
-
 let topology_of_string = function
   | "uniform" -> Ok `Uniform
   | "node" -> Ok `Node

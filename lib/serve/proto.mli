@@ -13,7 +13,7 @@ type topology = [ `Uniform | `Node ]
 (** [`Uniform]: the paper's flat α–β machine on the square grid —
     byte-identical to the pre-topology daemon. [`Node]: node-aware
     shape search over every R × C factorization of [procs]
-    ({!Tce_core.Search.optimize_topology}). *)
+    ({!Tce_core.Planner.of_request}). *)
 
 type work = {
   expr : string;  (** problem text, {!Tce_expr.Parser.parse} syntax *)
@@ -57,7 +57,6 @@ type request = {
 }
 
 val fusion_of_string : string -> (fusion, string) result
-val fusion_to_string : fusion -> string
 val topology_of_string : string -> (topology, string) result
 val topology_to_string : topology -> string
 

@@ -4,10 +4,12 @@
 
    Pipeline (DESIGN.md §13): parse → admission (bounded queue, typed
    [overloaded] rejection with a Fault-style exponential Retry-After
-   hint) → cache probe → search with a cooperative deadline token →
-   degradation ladder (exact DP on a fraction of the budget, then beam
-   search labelled [approximate], then the millisecond greedy seed, then
-   [deadline_exceeded]) → reply.
+   hint) → set-up (computation and machine) → cache probe → search with
+   a cooperative deadline token → degradation ladder (exact DP on a
+   fraction of the budget, then beam search labelled [approximate], then
+   the millisecond greedy seed, then [deadline_exceeded]) → reply. Trees
+   and sums, square and node-aware machines all take this one path: the
+   ladder's rungs are [Planner] strategies.
    Admin requests (health/stats/drain) bypass the queue so the daemon
    stays introspectable under saturation. A worker whose request raises
    unexpectedly answers a typed [worker_crashed] error, tears down and
@@ -16,18 +18,13 @@
 
 module Search = Tce_core.Search
 module Plan = Tce_core.Plan
-module Baselines = Tce_core.Baselines
+module Planner = Tce_core.Planner
 module Parsearch = Tce_core.Parsearch
-module Tree = Tce_expr.Tree
 module Parser = Tce_expr.Parser
 module Problem = Tce_expr.Problem
 module Opmin = Tce_opmin.Opmin
 module Grid = Tce_grid.Grid
 module Params = Tce_netmodel.Params
-module Rcost = Tce_netmodel.Rcost
-module Topology = Tce_netmodel.Topology
-module Extents = Tce_index.Extents
-module Index = Tce_index.Index
 module Simulate = Tce_machine.Simulate
 module Obs = Tce_obs.Obs
 module Tce_error = Tce_util.Tce_error
@@ -86,13 +83,9 @@ type job = {
   deadline_at : float option;  (* absolute wall time; queue wait counts *)
 }
 
-(* A cached single-term plan travels with the tree it solved so a hit
-   can be renamed onto the request's intermediate names. A cached sum
-   plan needs no companion: the sum fingerprint keeps term names in, so
-   a hit is byte-identical as stored. *)
-type cache_entry =
-  | Single_entry of Tree.t * Plan.t
-  | Sum_entry of Plan.sum
+(* A cached plan travels with the computation it solved, so a hit on a
+   tree can be renamed onto the request's intermediate names. *)
+type cache_entry = Opmin.computation * Planner.plan
 
 type t = {
   cfg : config;
@@ -121,226 +114,150 @@ type t = {
   lat_hit : Obs.Hist.t;
 }
 
-(* ---- machine construction (mirrors tce_opt's machine_of) -------------- *)
+(* ---- request set-up ---------------------------------------------------- *)
 
-let params_of_work (w : Proto.work) =
-  match (w.Proto.latency_us, w.Proto.bandwidth_mbs) with
-  | None, None ->
-    let base = Params.itanium_2003 in
-    {
-      base with
-      Params.mem_per_node_bytes =
-        (match w.Proto.mem_gb with
-        | None -> base.Params.mem_per_node_bytes
-        | Some gb -> gb *. 1e9);
-      flop_rate =
-        (match w.Proto.mflops with
-        | None -> base.Params.flop_rate
-        | Some m -> m *. 1e6);
-    }
-  | lat, bw ->
-    Params.uniform ~name:"uniform"
-      ~latency:
-        (Option.value ~default:6.4e-2 (Option.map (fun u -> u *. 1e-6) lat))
-      ~bandwidth:
-        (Option.value ~default:13.6e6 (Option.map (fun m -> m *. 1e6) bw))
-      ~flop_rate:
-        (Option.value ~default:6.15e8
-           (Option.map (fun m -> m *. 1e6) w.Proto.mflops))
-      ~procs_per_node:2
-      ~mem_per_node_bytes:
-        (Option.value ~default:4e9
-           (Option.map (fun gb -> gb *. 1e9) w.Proto.mem_gb))
-
-(* ---- cache key -------------------------------------------------------- *)
-
-let ext_fingerprint ext =
-  String.concat ","
-    (List.map
-       (fun (i, n) ->
-         Printf.sprintf "%s=%d" (Format.asprintf "%a" Index.pp i) n)
-       (Extents.bindings ext))
-
-let key_of_fingerprint (cfg : Search.config) (w : Proto.work) ~ext fp =
-  String.concat "|"
-    [
-      "v1";
-      Proto.fusion_to_string w.Proto.fusion;
-      fp;
-      ext_fingerprint ext;
-      Printf.sprintf "side=%d" (Grid.side cfg.Search.grid);
-      Params.fingerprint cfg.Search.params;
-      Rcost.fingerprint cfg.Search.rcost;
-      (match cfg.Search.mem_limit_bytes with
-      | None -> "mem=default"
-      | Some b -> Printf.sprintf "mem=%.17g" b);
-      Printf.sprintf "redist=%.17g" cfg.Search.redist_factor;
-      Printf.sprintf "adf=%b" cfg.Search.allow_distributed_fusion;
-    ]
-
-let cache_key cfg w ~ext ~tree =
-  key_of_fingerprint cfg w ~ext (Search.tree_fingerprint cfg tree)
-
-(* A node-aware request searches grid shapes, so its key carries the
-   topology fingerprint in place of the square side / per-side rotation
-   table. Uniform keys never reach this function and stay byte-identical
-   to the pre-topology daemon. *)
-let node_cache_key (cfg : Search.config) (w : Proto.work) ~ext ~topo ~tree =
-  String.concat "|"
-    [
-      "v1";
-      Proto.fusion_to_string w.Proto.fusion;
-      Search.tree_fingerprint cfg tree;
-      ext_fingerprint ext;
-      "shape=search";
-      Params.fingerprint cfg.Search.params;
-      Printf.sprintf "topo=%s" (Topology.fingerprint topo);
-      (match cfg.Search.mem_limit_bytes with
-      | None -> "mem=default"
-      | Some b -> Printf.sprintf "mem=%.17g" b);
-      Printf.sprintf "redist=%.17g" cfg.Search.redist_factor;
-      Printf.sprintf "adf=%b" cfg.Search.allow_distributed_fusion;
-    ]
-
-(* Construction for a [`Node] request: row-major packing with
-   [procs / nodes] ranks per node; every per-shape config prices rotations
-   by the link class of the rotated axis. *)
-let node_setup (w : Proto.work) =
-  let params = params_of_work w in
-  let procs = w.Proto.procs in
-  let ppn =
-    match w.Proto.nodes with
-    | None -> Ok params.Params.procs_per_node
-    | Some n ->
-      if procs mod n <> 0 then
-        Error
-          (Printf.sprintf "\"nodes\" (%d) must evenly divide \"procs\" (%d)"
-             n procs)
-      else Ok (procs / n)
-  in
-  Result.map
-    (fun ppn ->
-      let params = { params with Params.procs_per_node = ppn } in
-      let topo =
-        Topology.node_aware params
-          ~intra_latency:
-            (Option.value ~default:1.0 w.Proto.intra_latency_us *. 1e-6)
-          ~intra_bandwidth:
-            (Option.value ~default:1000.0 w.Proto.intra_bandwidth_mbs *. 1e6)
-      in
-      let config_of g =
-        Search.default_config
-          ?mem_limit_bytes:(Option.map (fun gb -> gb *. 1e9) w.Proto.mem_gb)
-          ~grid:g ~params
-          ~rcost:(Rcost.of_topology topo g)
-          ()
-      in
-      (params, topo, config_of))
-    ppn
-
-(* A sum request's key wraps the whole-sum fingerprint. Its "sum|"
-   prefix is foreign to every single-tree fingerprint, so a sum and any
-   one of its terms can never collide in the cache. *)
-let sum_cache_key cfg w ~ext se =
-  key_of_fingerprint cfg w ~ext (Search.sum_fingerprint se)
-
-(* exposed for the cache tests *)
-let cache_key_of_work (w : Proto.work) =
+(* Everything a work request needs before its cache probe: the parsed
+   computation and the machine. A request the planner cannot serve as
+   asked (e.g. a sum under a restricted fusion mode) is refused here, as
+   an invalid request rather than a failed search. *)
+let setup (w : Proto.work) =
   let ( let* ) = Result.bind in
-  let* problem = Parser.parse w.Proto.expr in
-  let* comp = Opmin.optimize_to_computation problem in
-  let ext = problem.Problem.extents in
-  match w.Proto.topology with
-  | `Node -> (
-    let* _, topo, config_of = node_setup w in
-    let cfg =
-      config_of (List.hd (Search.shape_candidates ~procs:w.Proto.procs))
-    in
-    match comp with
-    | Opmin.Single tree -> Ok (node_cache_key cfg w ~ext ~topo ~tree)
-    | Opmin.Summed _ ->
-      Error "multi-term sums plan on the uniform topology")
-  | `Uniform -> (
-    let params = params_of_work w in
-    let* grid = Grid.create ~procs:w.Proto.procs in
-    let rcost = Rcost.of_params params ~side:(Grid.side grid) in
-    let cfg =
-      Search.default_config
-        ?mem_limit_bytes:(Option.map (fun gb -> gb *. 1e9) w.Proto.mem_gb)
-        ~grid ~params ~rcost ()
-    in
-    match comp with
-    | Opmin.Single tree -> Ok (cache_key cfg w ~ext ~tree)
-    | Opmin.Summed se -> Ok (sum_cache_key cfg w ~ext se))
+  let expr r = Result.map_error (fun msg -> "expr: " ^ msg) r in
+  let* problem = expr (Parser.parse w.Proto.expr) in
+  let* comp = expr (Opmin.optimize_to_computation problem) in
+  let* machine =
+    Planner.of_request ?mem_gb:w.Proto.mem_gb ?mflops:w.Proto.mflops
+      ?latency_us:w.Proto.latency_us ?bandwidth_mbs:w.Proto.bandwidth_mbs
+      ?nodes:w.Proto.nodes ?intra_latency_us:w.Proto.intra_latency_us
+      ?intra_bandwidth_mbs:w.Proto.intra_bandwidth_mbs
+      ~topology:w.Proto.topology ~procs:w.Proto.procs ()
+  in
+  let* () =
+    Planner.supports ~fusion:w.Proto.fusion machine Planner.Exact comp
+  in
+  Ok (problem.Problem.extents, comp, machine)
+
+(* The plan-cache key: the α-renamed content fingerprint (a sum's keeps
+   term names and carries a "sum|" prefix foreign to every tree's, so a
+   sum and any one of its terms never collide) plus the machine. *)
+let cache_key (w : Proto.work) machine ~ext comp =
+  "v1|" ^ Planner.key ~fusion:w.Proto.fusion machine ~ext comp
+
+let cache_key_of_work w =
+  Result.map (fun (ext, comp, machine) -> cache_key w machine ~ext comp)
+    (setup w)
+
+(* A cache hit on a tree may carry different intermediate names; rename
+   it onto this request's tree under the cached plan's own grid. The
+   pathological leaf-clash case returns [None] and we recompute, same as
+   the memo cache. A sum hit is byte-identical as stored. *)
+let recall machine ext comp (cached_comp, plan) =
+  match (cached_comp, comp, plan) with
+  | Opmin.Single cached, Opmin.Single current, Planner.Tree p ->
+    Option.map
+      (fun p -> Planner.Tree p)
+      (Search.rename_plan
+         (Planner.config_of machine p.Plan.grid)
+         ~ext ~cached ~current p)
+  | Opmin.Summed _, Opmin.Summed _, (Planner.Sum _ as s) -> Some s
+  | _ -> None
 
 (* ---- request execution ------------------------------------------------ *)
 
 let invalid ~id msg = Proto.error ~id ~kind:"invalid_request" ~message:msg []
 
-let plan_fields plan ~cached ~approximate =
-  [
-    ("cached", Json.Bool cached);
-    ("approximate", Json.Bool approximate);
-    ("comm_seconds", Json.Num (Plan.comm_cost plan));
-    ("compute_seconds", Json.Num (Plan.compute_seconds plan));
-    ("total_seconds", Json.Num (Plan.total_seconds plan));
-    ("flops", Json.Num (float_of_int plan.Plan.flops));
-    ("mem_per_node_bytes", Json.Num (Plan.mem_per_node_bytes plan));
-    ("steps", Json.Num (float_of_int (List.length plan.Plan.steps)));
-    ("plan", Json.Str (Format.asprintf "%a" Plan.pp plan));
-  ]
+let plan_fields (machine : Planner.machine) ext plan ~cached ~approximate =
+  (* A shape-searching machine reports the grid it chose. *)
+  (match Planner.topology machine with
+  | Some _ ->
+    [ ("grid", Json.Str (Format.asprintf "%a" Grid.pp (Planner.grid plan))) ]
+  | None -> [])
+  @ [ ("cached", Json.Bool cached); ("approximate", Json.Bool approximate) ]
+  @
+  match plan with
+  | Planner.Tree p ->
+    [
+      ("comm_seconds", Json.Num (Plan.comm_cost p));
+      ("compute_seconds", Json.Num (Plan.compute_seconds p));
+      ("total_seconds", Json.Num (Plan.total_seconds p));
+      ("flops", Json.Num (float_of_int p.Plan.flops));
+      ("mem_per_node_bytes", Json.Num (Plan.mem_per_node_bytes p));
+      ("steps", Json.Num (float_of_int (List.length p.Plan.steps)));
+      ("plan", Json.Str (Format.asprintf "%a" Plan.pp p));
+    ]
+  | Planner.Sum s ->
+    [
+      ("sum", Json.Bool true);
+      ("comm_seconds", Json.Num s.Plan.sum_comm_cost);
+      ("compute_seconds", Json.Num (Plan.sum_compute_seconds s));
+      ("total_seconds", Json.Num (Plan.sum_total_seconds s));
+      ("flops", Json.Num (float_of_int s.Plan.sum_flops));
+      ("mem_per_node_bytes", Json.Num (Plan.sum_mem_per_node_bytes ext s));
+      ("terms", Json.Num (float_of_int (List.length s.Plan.terms)));
+      ("shared_values", Json.Num (float_of_int (List.length s.Plan.shared)));
+      ("plan", Json.Str (Format.asprintf "%a" (Plan.pp_sum ext) s));
+    ]
 
-let sum_plan_fields ext (s : Plan.sum) ~cached ~approximate =
-  [
-    ("cached", Json.Bool cached);
-    ("approximate", Json.Bool approximate);
-    ("sum", Json.Bool true);
-    ("comm_seconds", Json.Num s.Plan.sum_comm_cost);
-    ("compute_seconds", Json.Num (Plan.sum_compute_seconds s));
-    ("total_seconds", Json.Num (Plan.sum_total_seconds s));
-    ("flops", Json.Num (float_of_int s.Plan.sum_flops));
-    ("mem_per_node_bytes", Json.Num (Plan.sum_mem_per_node_bytes ext s));
-    ("terms", Json.Num (float_of_int (List.length s.Plan.terms)));
-    ("shared_values", Json.Num (float_of_int (List.length s.Plan.shared)));
-    ("plan", Json.Str (Format.asprintf "%a" (Plan.pp_sum ext) s));
-  ]
+(* Replay on the simulated cluster: (comm, compute, total) seconds. A
+   sum's sub-plans execute one after another and the accumulation is
+   local, so its times are additive: Σ over shared and term plans, plus
+   the accumulation's compute time. *)
+let simulate params ext = function
+  | Planner.Tree p ->
+    Result.map
+      (fun (t : Simulate.timing) ->
+        (t.Simulate.comm_seconds, t.compute_seconds, t.total_seconds))
+      (Simulate.run_plan params ext p)
+  | Planner.Sum s ->
+    let acc_seconds =
+      Params.compute_time params
+        ~flops:
+          (float_of_int s.Plan.acc_flops
+          /. float_of_int (Grid.procs s.Plan.sum_grid))
+    in
+    let rec go comm compute = function
+      | [] ->
+        let compute = compute +. acc_seconds in
+        Ok (comm, compute, comm +. compute)
+      | p :: rest -> (
+        match Simulate.run_plan params ext p with
+        | Ok t ->
+          go (comm +. t.Simulate.comm_seconds)
+            (compute +. t.Simulate.compute_seconds)
+            rest
+        | Error e -> Error e)
+    in
+    go 0.0 0.0
+      (List.map (fun (_, _, p) -> p) s.Plan.shared @ List.map snd s.Plan.terms)
 
-(* The degradation ladder. Returns the plan plus whether it is exact
-   (cacheable) or approximate (beam or greedy), or raises
-   [Tce_error.Error (Deadline_exceeded _)] when even the fallbacks cannot
-   finish inside the budget. *)
-let search_ladder t pool (cfg : Search.config) ext tree (w : Proto.work)
-    ~deadline_at =
-  let run ?beam ?cancel () =
-    match w.Proto.fusion with
-    | `All -> Baselines.integrated ?beam ?cancel ?pool cfg ext tree
-    | `None -> Baselines.fusion_free ?beam ?cancel ?pool cfg ext tree
-    | `Memmin -> Baselines.memory_minimal ?beam ?cancel ?pool cfg ext tree
+let locked t f =
+  Mutex.lock t.lock;
+  f ();
+  Mutex.unlock t.lock
+
+(* The degradation ladder: exact DP on a fraction of the budget, then the
+   beam-limited DP labelled [approximate], then the greedy seed. Returns
+   the plan plus whether it is exact (cacheable) or approximate, or
+   raises [Tce_error.Error (Deadline_exceeded _)] when even the fallbacks
+   cannot finish inside the budget. *)
+let ladder t pool machine ext comp (w : Proto.work) ~deadline_at =
+  let run ?cancel strategy =
+    Planner.solve ?cancel ?pool ~fusion:w.Proto.fusion machine strategy ext
+      comp
   in
   let cancel_at d () = now () > d in
-  let beam = t.cfg.degrade_beam in
+  let beam = Planner.Beam t.cfg.degrade_beam in
   let approx r = Result.map (fun p -> (p, true)) r in
   let exact r = Result.map (fun p -> (p, false)) r in
-  (* The ladder's last rung: the milliseconds-scale greedy seed (a
-     fusion-capped beam-1 DP), so a request whose budget the beam search
-     also blows still gets a valid, validator-certified plan labelled
-     [approximate] instead of a bare deadline_exceeded. Only a deadline
-     with almost nothing left can still fail here. *)
+  (* The last rung: the milliseconds-scale greedy seed (a fusion-capped
+     beam-1 DP; per term for a sum), so a request whose budget the beam
+     search also blows still gets a valid, validator-certified plan
+     labelled [approximate] instead of a bare deadline_exceeded. Only a
+     deadline with almost nothing left can still fail here. *)
   let greedy_rung d =
-    let cfg =
-      {
-        cfg with
-        Search.fusion_mode =
-          (match w.Proto.fusion with
-          | `None -> Search.No_fusion
-          | `All | `Memmin -> Search.Enumerate);
-      }
-    in
-    Mutex.lock t.lock;
-    t.greedy_seeded <- t.greedy_seeded + 1;
-    Mutex.unlock t.lock;
+    locked t (fun () -> t.greedy_seeded <- t.greedy_seeded + 1);
     Obs.count "serve.greedy_seeded";
-    approx (Search.greedy ?pool ~cancel:(cancel_at d) cfg ext tree)
+    approx (run ~cancel:(cancel_at d) Planner.Greedy)
   in
   let beam_or_greedy d =
     (* The beam gets most of the remaining budget but not all of it: if
@@ -349,151 +266,72 @@ let search_ladder t pool (cfg : Search.config) ext tree (w : Proto.work)
        never return a plan. *)
     let t0 = now () in
     let beam_d = t0 +. (0.8 *. (d -. t0)) in
-    match run ~beam ~cancel:(cancel_at beam_d) () with
+    match run ~cancel:(cancel_at beam_d) beam with
     | r -> approx r
     | exception Tce_error.Error (Tce_error.Deadline_exceeded _) ->
       greedy_rung d
   in
   match (t.cfg.degrade, deadline_at) with
-  | `Never, None -> exact (run ())
-  | `Never, Some d -> exact (run ~cancel:(cancel_at d) ())
-  | `Always, None -> approx (run ~beam ())
+  | `Never, None -> exact (run Planner.Exact)
+  | `Never, Some d -> exact (run ~cancel:(cancel_at d) Planner.Exact)
+  | `Always, None -> approx (run beam)
   | `Always, Some d -> beam_or_greedy d
-  | `Auto, None -> exact (run ())
+  | `Auto, None -> exact (run Planner.Exact)
   | `Auto, Some d -> (
     (* Spend at most [exact_fraction] of the remaining budget on the
        exact search, keeping the rest in reserve for the beam fallback. *)
     let t0 = now () in
     let exact_d = t0 +. (t.cfg.exact_fraction *. (d -. t0)) in
-    match run ~cancel:(cancel_at exact_d) () with
+    match run ~cancel:(cancel_at exact_d) Planner.Exact with
     | r -> exact r
     | exception Tce_error.Error (Tce_error.Deadline_exceeded _) ->
-      Mutex.lock t.lock;
-      t.degraded <- t.degraded + 1;
-      Mutex.unlock t.lock;
+      locked t (fun () -> t.degraded <- t.degraded + 1);
       Obs.count "serve.degraded";
       beam_or_greedy d)
 
-(* The sum ladder mirrors [search_ladder] with the sum optimizer's
-   rungs: exact subset-enumerating DP, then the beam-limited DP labelled
-   [approximate], then {!Search.greedy_sum} — the no-sharing, per-term
-   greedy plan, still {!Plan.validate_sum}-certifiable. *)
-let sum_search_ladder t pool (cfg : Search.config) ext se ~deadline_at =
-  let cancel_at d () = now () > d in
-  let approx r = Result.map (fun p -> (p, true)) r in
-  let exact r = Result.map (fun p -> (p, false)) r in
-  let greedy_rung d =
-    Mutex.lock t.lock;
-    t.greedy_seeded <- t.greedy_seeded + 1;
-    Mutex.unlock t.lock;
-    Obs.count "serve.greedy_seeded";
-    approx (Search.greedy_sum ?pool ~cancel:(cancel_at d) cfg ext se)
-  in
-  let beam = t.cfg.degrade_beam in
-  let beam_or_greedy d =
-    let t0 = now () in
-    let beam_d = t0 +. (0.8 *. (d -. t0)) in
-    match
-      Search.optimize_sum ~beam ~cancel:(cancel_at beam_d) ?pool cfg ext se
-    with
-    | r -> approx r
-    | exception Tce_error.Error (Tce_error.Deadline_exceeded _) ->
-      greedy_rung d
-  in
-  match (t.cfg.degrade, deadline_at) with
-  | `Never, None -> exact (Search.optimize_sum ?pool cfg ext se)
-  | `Never, Some d ->
-    exact (Search.optimize_sum ~cancel:(cancel_at d) ?pool cfg ext se)
-  | `Always, None -> approx (Search.optimize_sum ~beam ?pool cfg ext se)
-  | `Always, Some d -> beam_or_greedy d
-  | `Auto, None -> exact (Search.optimize_sum ?pool cfg ext se)
-  | `Auto, Some d -> (
-    let t0 = now () in
-    let exact_d = t0 +. (t.cfg.exact_fraction *. (d -. t0)) in
-    match Search.optimize_sum ~cancel:(cancel_at exact_d) ?pool cfg ext se with
-    | r -> exact r
-    | exception Tce_error.Error (Tce_error.Deadline_exceeded _) ->
-      Mutex.lock t.lock;
-      t.degraded <- t.degraded + 1;
-      Mutex.unlock t.lock;
-      Obs.count "serve.degraded";
-      beam_or_greedy d)
-
-(* One sum request end to end: cache probe on the whole-sum fingerprint
-   (hits are byte-identical as stored — no renaming needed), ladder,
-   insert-if-exact, view. Sum planning supports the default fusion mode
-   only. *)
-let handle_sum_work t pool ~id ~deadline_at (w : Proto.work) ~view ~params
-    ~(cfg : Search.config) ~ext se =
-  match w.Proto.fusion with
-  | `None | `Memmin ->
-    ( invalid ~id
-        "multi-term sums support fusion \"all\" only (the sum optimizer \
-         plans every term with the full fusion space)",
-      `Other )
-  | `All -> (
-    let key = sum_cache_key cfg w ~ext se in
+(* Handle one work request (optimize/simulate/validate) end to end: set
+   up, cache probe, ladder, insert-if-exact, view. Returns the response
+   and whether the plan came from the cache. *)
+let handle_work t pool ~id ~deadline_at (w : Proto.work) ~view =
+  match setup w with
+  | Error msg -> (invalid ~id msg, `Other)
+  | Ok (ext, comp, machine) -> (
+    let key = cache_key w machine ~ext comp in
     let cached_plan =
-      match Cache.find t.cache key with
-      | Some (Sum_entry s) ->
-        Obs.count "serve.cache_hits";
-        Some s
-      | Some (Single_entry _) | None ->
-        Obs.count "serve.cache_misses";
-        None
+      Option.bind (Cache.find t.cache key) (recall machine ext comp)
     in
+    Obs.count
+      (if Option.is_some cached_plan then "serve.cache_hits"
+       else "serve.cache_misses");
     let searched =
       match cached_plan with
-      | Some s -> Ok ((s, false), `Hit)
+      | Some plan -> Ok ((plan, false), `Hit)
       | None ->
         Result.map
-          (fun (s, approximate) ->
+          (fun (plan, approximate) ->
+            (* Only exact plans enter the cache: a later hit must be
+               byte-identical to a fresh exact search. *)
             if not approximate then begin
               let before = (Cache.stats t.cache).Cache.evictions in
-              Cache.add t.cache key (Sum_entry s);
+              Cache.add t.cache key (comp, plan);
               let after = (Cache.stats t.cache).Cache.evictions in
               if after > before then
                 Obs.count ~by:(after - before) "serve.cache_evictions"
             end;
-            ((s, approximate), `Cold))
-          (sum_search_ladder t pool cfg ext se ~deadline_at)
+            ((plan, approximate), `Cold))
+          (ladder t pool machine ext comp w ~deadline_at)
     in
     match searched with
     | Error msg -> (Proto.error ~id ~kind:"no_plan" ~message:msg [], `Other)
-    | Ok ((s, approximate), origin) -> (
-      let cached = origin = `Hit in
-      let base = sum_plan_fields ext s ~cached ~approximate in
+    | Ok ((plan, approximate), origin) -> (
+      let base =
+        plan_fields machine ext plan ~cached:(origin = `Hit) ~approximate
+      in
       match view with
       | `Optimize -> (Proto.ok ~id base, origin)
       | `Simulate -> (
-        (* Sub-plans execute one after another and the accumulation is
-           local, so the simulated times are additive: Σ over shared and
-           term plans, plus the accumulation's compute time. *)
-        let rec simulate_all acc = function
-          | [] -> Ok acc
-          | p :: rest -> (
-            match Simulate.run_plan params ext p with
-            | Ok timing ->
-              let comm, compute = acc in
-              simulate_all
-                ( comm +. timing.Simulate.comm_seconds,
-                  compute +. timing.Simulate.compute_seconds )
-                rest
-            | Error e -> Error e)
-        in
-        let plans =
-          List.map (fun (_, _, p) -> p) s.Plan.shared
-          @ List.map snd s.Plan.terms
-        in
-        match simulate_all (0.0, 0.0) plans with
-        | Ok (comm, compute) ->
-          let acc_seconds =
-            Params.compute_time params
-              ~flops:
-                (float_of_int s.Plan.acc_flops
-                /. float_of_int (Grid.procs s.Plan.sum_grid))
-          in
-          let compute = compute +. acc_seconds in
+        match simulate (Planner.params machine) ext plan with
+        | Ok (comm, compute, total) ->
           ( Proto.ok ~id
               (base
               @ [
@@ -502,7 +340,7 @@ let handle_sum_work t pool ~id ~deadline_at (w : Proto.work) ~view ~params
                       [
                         ("comm_seconds", Json.Num comm);
                         ("compute_seconds", Json.Num compute);
-                        ("total_seconds", Json.Num (comm +. compute));
+                        ("total_seconds", Json.Num total);
                       ] );
                 ]),
             origin )
@@ -511,9 +349,7 @@ let handle_sum_work t pool ~id ~deadline_at (w : Proto.work) ~view ~params
               ~message:(Tce_error.to_string e) [],
             `Other ))
       | `Validate -> (
-        match
-          Plan.validate_sum ?mem_limit_bytes:cfg.Search.mem_limit_bytes ~ext s
-        with
+        match Planner.validate machine ext plan with
         | Ok () -> (Proto.ok ~id (("valid", Json.Bool true) :: base), origin)
         | Error msg ->
           ( Proto.ok ~id
@@ -521,259 +357,6 @@ let handle_sum_work t pool ~id ~deadline_at (w : Proto.work) ~view ~params
               :: ("violation", Json.Str msg)
               :: base),
             origin ))))
-
-(* The node-aware ladder: exact shape search, then the beam-limited
-   shape search labelled [approximate], then a beam-1 last rung — the
-   same degradation law as [search_ladder] with the topology optimizer's
-   rungs. *)
-let node_search_ladder t ~config_of ~topo ~procs ext tree ~deadline_at =
-  let run ?beam ?cancel () =
-    Search.optimize_topology ?beam ?cancel ~config_of ~topo ~procs ext tree
-  in
-  let cancel_at d () = now () > d in
-  let beam = t.cfg.degrade_beam in
-  let approx r = Result.map (fun p -> (p, true)) r in
-  let exact r = Result.map (fun p -> (p, false)) r in
-  let last_rung d =
-    Mutex.lock t.lock;
-    t.greedy_seeded <- t.greedy_seeded + 1;
-    Mutex.unlock t.lock;
-    Obs.count "serve.greedy_seeded";
-    approx (run ~beam:1 ~cancel:(cancel_at d) ())
-  in
-  let beam_or_last d =
-    let t0 = now () in
-    let beam_d = t0 +. (0.8 *. (d -. t0)) in
-    match run ~beam ~cancel:(cancel_at beam_d) () with
-    | r -> approx r
-    | exception Tce_error.Error (Tce_error.Deadline_exceeded _) -> last_rung d
-  in
-  match (t.cfg.degrade, deadline_at) with
-  | `Never, None -> exact (run ())
-  | `Never, Some d -> exact (run ~cancel:(cancel_at d) ())
-  | `Always, None -> approx (run ~beam ())
-  | `Always, Some d -> beam_or_last d
-  | `Auto, None -> exact (run ())
-  | `Auto, Some d -> (
-    let t0 = now () in
-    let exact_d = t0 +. (t.cfg.exact_fraction *. (d -. t0)) in
-    match run ~cancel:(cancel_at exact_d) () with
-    | r -> exact r
-    | exception Tce_error.Error (Tce_error.Deadline_exceeded _) ->
-      Mutex.lock t.lock;
-      t.degraded <- t.degraded + 1;
-      Mutex.unlock t.lock;
-      Obs.count "serve.degraded";
-      beam_or_last d)
-
-(* One node-aware single-term request end to end: shape search over
-   every R x C factorization, cache keyed on the topology fingerprint.
-   A cache hit is renamed under the cached plan's own grid shape. *)
-let handle_node_work t ~id ~deadline_at (w : Proto.work) ~view ~ext tree =
-  match w.Proto.fusion with
-  | `None | `Memmin ->
-    ( invalid ~id
-        "topology \"node\" searches grid shapes with fusion \"all\" only",
-      `Other )
-  | `All -> (
-    match node_setup w with
-    | Error msg -> (invalid ~id msg, `Other)
-    | Ok (params, topo, config_of) -> (
-      let procs = w.Proto.procs in
-      let cfg0 = config_of (List.hd (Search.shape_candidates ~procs)) in
-      let key = node_cache_key cfg0 w ~ext ~topo ~tree in
-      let cached_plan =
-        match Cache.find t.cache key with
-        | None | Some (Sum_entry _) ->
-          Obs.count "serve.cache_misses";
-          None
-        | Some (Single_entry (ctree, plan)) -> (
-          match
-            Search.rename_plan
-              (config_of plan.Plan.grid)
-              ~ext ~cached:ctree ~current:tree plan
-          with
-          | Some plan ->
-            Obs.count "serve.cache_hits";
-            Some plan
-          | None ->
-            Obs.count "serve.cache_misses";
-            None)
-      in
-      let searched =
-        match cached_plan with
-        | Some plan -> Ok ((plan, false), `Hit)
-        | None ->
-          Result.map
-            (fun (plan, approximate) ->
-              if not approximate then begin
-                let before = (Cache.stats t.cache).Cache.evictions in
-                Cache.add t.cache key (Single_entry (tree, plan));
-                let after = (Cache.stats t.cache).Cache.evictions in
-                if after > before then
-                  Obs.count ~by:(after - before) "serve.cache_evictions"
-              end;
-              ((plan, approximate), `Cold))
-            (node_search_ladder t ~config_of ~topo ~procs ext tree
-               ~deadline_at)
-      in
-      match searched with
-      | Error msg -> (Proto.error ~id ~kind:"no_plan" ~message:msg [], `Other)
-      | Ok ((plan, approximate), origin) -> (
-        let cached = origin = `Hit in
-        let base =
-          ("grid", Json.Str (Format.asprintf "%a" Grid.pp plan.Plan.grid))
-          :: plan_fields plan ~cached ~approximate
-        in
-        match view with
-        | `Optimize -> (Proto.ok ~id base, origin)
-        | `Simulate -> (
-          match Simulate.run_plan params ext plan with
-          | Ok timing ->
-            ( Proto.ok ~id
-                (base
-                @ [
-                    ( "simulated",
-                      Json.Obj
-                        [
-                          ( "comm_seconds",
-                            Json.Num timing.Simulate.comm_seconds );
-                          ( "compute_seconds",
-                            Json.Num timing.Simulate.compute_seconds );
-                          ( "total_seconds",
-                            Json.Num timing.Simulate.total_seconds );
-                        ] );
-                  ]),
-              origin )
-          | Error e ->
-            ( Proto.error ~id ~kind:(Tce_error.kind e)
-                ~message:(Tce_error.to_string e) [],
-              `Other ))
-        | `Validate -> (
-          match
-            Plan.validate ?mem_limit_bytes:cfg0.Search.mem_limit_bytes plan
-          with
-          | Ok () -> (Proto.ok ~id (("valid", Json.Bool true) :: base), origin)
-          | Error msg ->
-            ( Proto.ok ~id
-                (("valid", Json.Bool false)
-                :: ("violation", Json.Str msg)
-                :: base),
-              origin )))))
-
-(* Handle one work request (optimize/simulate/validate). Returns the
-   response and whether the plan came from the cache. *)
-let handle_work t pool ~id ~deadline_at (w : Proto.work) ~view =
-  match Parser.parse w.Proto.expr with
-  | Error msg -> (invalid ~id ("expr: " ^ msg), `Other)
-  | Ok problem -> (
-    match Opmin.optimize_to_computation problem with
-    | Error msg -> (invalid ~id ("expr: " ^ msg), `Other)
-    | Ok comp -> (
-      let ext = problem.Problem.extents in
-      match (comp, w.Proto.topology) with
-      | Opmin.Single tree, `Node ->
-        handle_node_work t ~id ~deadline_at w ~view ~ext tree
-      | Opmin.Summed _, `Node ->
-        ( invalid ~id
-            "multi-term sums plan on the uniform topology; drop topology \
-             \"node\"",
-          `Other )
-      | _, `Uniform -> (
-      let params = params_of_work w in
-      match Grid.create ~procs:w.Proto.procs with
-      | Error msg -> (invalid ~id msg, `Other)
-      | Ok grid -> (
-        let rcost = Rcost.of_params params ~side:(Grid.side grid) in
-        let cfg =
-          Search.default_config
-            ?mem_limit_bytes:(Option.map (fun gb -> gb *. 1e9) w.Proto.mem_gb)
-            ~grid ~params ~rcost ()
-        in
-        match comp with
-        | Opmin.Summed se ->
-          handle_sum_work t pool ~id ~deadline_at w ~view ~params ~cfg ~ext se
-        | Opmin.Single tree -> (
-        let key = cache_key cfg w ~ext ~tree in
-        let cached_plan =
-          match Cache.find t.cache key with
-          | None ->
-            Obs.count "serve.cache_misses";
-            None
-          | Some (Sum_entry _) ->
-            Obs.count "serve.cache_misses";
-            None
-          | Some (Single_entry (ctree, plan)) -> (
-            (* A hit may carry different intermediate names; rename it
-               onto this request's tree. The pathological leaf-clash case
-               returns [None] and we recompute, same as the memo cache. *)
-            match Search.rename_plan cfg ~ext ~cached:ctree ~current:tree plan
-            with
-            | Some plan ->
-              Obs.count "serve.cache_hits";
-              Some plan
-            | None ->
-              Obs.count "serve.cache_misses";
-              None)
-        in
-        let searched =
-          match cached_plan with
-          | Some plan -> Ok ((plan, false), `Hit)
-          | None ->
-            Result.map
-              (fun (plan, approximate) ->
-                (* Only exact plans enter the cache: a later hit must be
-                   byte-identical to a fresh exact search. *)
-                if not approximate then begin
-                  let before = (Cache.stats t.cache).Cache.evictions in
-                  Cache.add t.cache key (Single_entry (tree, plan));
-                  let after = (Cache.stats t.cache).Cache.evictions in
-                  if after > before then
-                    Obs.count ~by:(after - before) "serve.cache_evictions"
-                end;
-                ((plan, approximate), `Cold))
-              (search_ladder t pool cfg ext tree w ~deadline_at)
-        in
-        match searched with
-        | Error msg ->
-          (Proto.error ~id ~kind:"no_plan" ~message:msg [], `Other)
-        | Ok ((plan, approximate), origin) -> (
-          let cached = origin = `Hit in
-          let base = plan_fields plan ~cached ~approximate in
-          match view with
-          | `Optimize -> (Proto.ok ~id base, origin)
-          | `Simulate -> (
-            match Simulate.run_plan params ext plan with
-            | Ok timing ->
-              ( Proto.ok ~id
-                  (base
-                  @ [
-                      ( "simulated",
-                        Json.Obj
-                          [
-                            ("comm_seconds", Json.Num timing.Simulate.comm_seconds);
-                            ( "compute_seconds",
-                              Json.Num timing.Simulate.compute_seconds );
-                            ( "total_seconds",
-                              Json.Num timing.Simulate.total_seconds );
-                          ] );
-                    ]),
-                origin )
-            | Error e ->
-              ( Proto.error ~id ~kind:(Tce_error.kind e)
-                  ~message:(Tce_error.to_string e) [],
-                `Other ))
-          | `Validate -> (
-            match
-              Plan.validate ?mem_limit_bytes:cfg.Search.mem_limit_bytes plan
-            with
-            | Ok () -> (Proto.ok ~id (("valid", Json.Bool true) :: base), origin)
-            | Error msg ->
-              ( Proto.ok ~id
-                  (("valid", Json.Bool false)
-                  :: ("violation", Json.Str msg)
-                  :: base),
-                origin ))))))))
 
 (* ---- admin responses -------------------------------------------------- *)
 
@@ -883,9 +466,7 @@ let process t pool_ref (job : job) =
     match job.deadline_at with Some d -> started > d | None -> false
   in
   if expired then begin
-    Mutex.lock t.lock;
-    t.deadline_exceeded <- t.deadline_exceeded + 1;
-    Mutex.unlock t.lock;
+    locked t (fun () -> t.deadline_exceeded <- t.deadline_exceeded + 1);
     Obs.count "serve.deadline_exceeded";
     safe_reply job
       (Proto.deadline_exceeded ~id ~where:"queue"
@@ -922,9 +503,7 @@ let process t pool_ref (job : job) =
       record_latency t job ~started ~origin ~failed;
       safe_reply job resp
     | exception Tce_error.Error (Tce_error.Deadline_exceeded { where }) ->
-      Mutex.lock t.lock;
-      t.deadline_exceeded <- t.deadline_exceeded + 1;
-      Mutex.unlock t.lock;
+      locked t (fun () -> t.deadline_exceeded <- t.deadline_exceeded + 1);
       Obs.count "serve.deadline_exceeded";
       safe_reply job
         (Proto.deadline_exceeded ~id ~where ~elapsed_ms:(elapsed_ms ()))
@@ -936,10 +515,9 @@ let process t pool_ref (job : job) =
     | exception ex ->
       (* Crash isolation: typed reply, then tear down and respawn this
          worker's search pool — the daemon and its siblings keep going. *)
-      Mutex.lock t.lock;
-      t.crashes <- t.crashes + 1;
-      t.request_errors <- t.request_errors + 1;
-      Mutex.unlock t.lock;
+      locked t (fun () ->
+          t.crashes <- t.crashes + 1;
+          t.request_errors <- t.request_errors + 1);
       Obs.count "serve.worker_crashes";
       safe_reply job
         (Proto.error ~id ~kind:"worker_crashed"

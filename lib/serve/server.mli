@@ -9,11 +9,11 @@
     the same engine serves stdio (see [bin/tce_serve]), an in-process
     test harness, or any future socket front end. See DESIGN.md §13.
 
-    Multi-term sum problems (DESIGN.md §16) are first-class requests:
-    they are planned by {!Tce_core.Search.optimize_sum}, cached under
-    the whole-sum fingerprint (disjoint by construction from every
-    single-term key), and degrade through the sum ladder (exact →
-    beam-limited DP → the no-sharing greedy sum plan). *)
+    Every work request — a single tree or a multi-term sum (DESIGN.md
+    §16), on the square machine or a node-aware one (§17) — is planned
+    by {!Tce_core.Planner.solve} through the one ladder; the planner's
+    strategies are its rungs. Sums are cached under the whole-sum
+    fingerprint (disjoint by construction from every single-term key). *)
 
 type degrade_mode =
   [ `Auto  (** exact DP inside [exact_fraction] of the budget, then beam *)
@@ -107,6 +107,7 @@ val stats : t -> stats
 val queue_depth : t -> int
 
 val cache_key_of_work : Proto.work -> (string, string) result
-(** The plan-cache key a work request maps to (parse → tree or sum →
-    machine → fingerprints). Exposed for the cache-key separation
+(** The plan-cache key a work request maps to (the same set-up a
+    request goes through: parse → tree or sum → machine →
+    {!Tce_core.Planner.key}). Exposed for the cache-key separation
     tests. *)

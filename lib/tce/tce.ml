@@ -28,7 +28,8 @@
     {!Fusionset}, {!Memmin} — loop fusion and the sequential
     memory-minimal baseline; {!Search}, {!Plan}, {!Baselines} — the
     integrated memory-constrained communication minimization algorithm
-    (the paper's contribution) and its prior-work baselines.
+    (the paper's contribution) and its prior-work baselines; {!Planner} —
+    the one entry point from machine × computation × strategy to a plan.
 
     {2 Execution and reporting}
     {!Loopnest}, {!Interp} — fused-code generation and interpretation;
@@ -92,6 +93,7 @@ module Plan = Tce_core.Plan
 module Search = Tce_core.Search
 module Parsearch = Tce_core.Parsearch
 module Gencorpus = Tce_core.Gencorpus
+module Planner = Tce_core.Planner
 module Degrade = Tce_core.Degrade
 module Baselines = Tce_core.Baselines
 module Loopnest = Tce_codegen.Loopnest

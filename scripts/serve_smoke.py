@@ -133,6 +133,24 @@ send({"id": "val-1", "op": "validate", "expr": MATMUL % 8, "procs": 4})
 r = wait_for("val-1")
 check(r.get("status") == "ok" and r.get("valid") is True, "validate view")
 
+# 10b. a multi-term sum on a node-aware grid: the one planner searches
+# every R x C shape for the sum; cold, then a byte-identical hit
+SUM = (
+    "extents a=8, b=8, c=8, d=8\n"
+    "M[a,b] = sum[c] P[a,c] * Q[c,b]\n"
+    "E[a,d] = sum[b] M[a,b] * R[b,d] + 0.5 * sum[b] M[a,b] * U[b,d]\n"
+)
+for rid in ("sum-node-1", "sum-node-2"):
+    send({"id": rid, "op": "optimize", "expr": SUM, "procs": 8,
+          "topology": "node", "nodes": 4})
+    wait_for(rid)
+r1, r2 = responses["sum-node-1"], responses["sum-node-2"]
+check(r1.get("status") == "ok" and r1.get("sum") is True
+      and r1.get("cached") is False and "grid" in r1,
+      "sum on a node-aware grid optimized uncached, grid reported")
+check(r2.get("cached") is True and r2.get("plan") == r1.get("plan"),
+      "sum-node cache hit byte-identical to the cold search")
+
 # 11. malformed line -> typed parse_error with null id
 send_raw("this is not json")
 r = wait_unidentified(1)

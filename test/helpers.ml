@@ -69,3 +69,9 @@ let qtest ?(count = 100) name gen prop =
     (QCheck2.Test.make ~count ~name gen prop)
 
 let case name f = Alcotest.test_case name `Quick f
+
+(* The plan of a [Planner] result on a single-tree computation. *)
+let tree_plan = function
+  | Ok (Planner.Tree p) -> Ok p
+  | Ok (Planner.Sum _) -> Error "expected a tree plan, got a sum plan"
+  | Error msg -> Error msg

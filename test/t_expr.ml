@@ -333,7 +333,63 @@ let test_pretty_printing () =
     (Astring_contains.contains seq_text "T1[j,t] = sum[i] A[i,j,t]");
   let prob_text = Format.asprintf "%a" Problem.pp p in
   Alcotest.(check bool) "problem extents" true
-    (Astring_contains.contains prob_text "N_i=7")
+    (Astring_contains.contains prob_text "extents i=7, j=6, k=5, t=4\n")
+
+(* The problem printer writes the DSL: parsing its output gives back the
+   same problem — extents, inputs, definitions and sum coefficients to
+   the last bit — so printing it again is the identity. *)
+let test_problem_print_parse_roundtrip () =
+  let ccsd_file =
+    List.find Sys.file_exists [ "examples/ccsd.prob"; "../examples/ccsd.prob" ]
+  in
+  let sum_text =
+    "extents a=8, b=8, c=8, d=8\n\
+     M[a,b] = sum[c] P[a,c] * Q[c,b]\n\
+     E[a,d] = - 0.1 * sum[b] M[a,b] * R[b,d] + sum[b] M[a,b] * U[b,d] \
+     - 2 * sum[b] M[a,b] * V[b,d] + 12345678.9 * sum[b] M[a,b] * W[b,d]\n"
+  in
+  let third = 1.0 /. 3.0 in
+  let thirds = get_ok ~ctx:"sum problem" (Parser.parse sum_text) in
+  let thirds =
+    match thirds.Problem.sum with
+    | Some sd ->
+      Problem.create_sum_exn ~extents:thirds.Problem.extents
+        ~defs:thirds.Problem.defs
+        {
+          sd with
+          Problem.addends =
+            List.map
+              (fun (a : Problem.addend) ->
+                { a with Problem.coeff = a.Problem.coeff *. third })
+              sd.Problem.addends;
+        }
+    | None -> Alcotest.fail "expected a multi-term sum"
+  in
+  List.iter
+    (fun (name, p) ->
+      let text = Format.asprintf "%a" Problem.pp p in
+      let p' =
+        match Parser.parse text with
+        | Ok p' -> p'
+        | Error msg ->
+          Alcotest.failf "%s: printed text does not parse (%s):\n%s" name msg
+            text
+      in
+      Alcotest.(check string) (name ^ ": print is the identity") text
+        (Format.asprintf "%a" Problem.pp p');
+      Alcotest.(check bool) (name ^ ": same extents") true
+        (Extents.bindings p.Problem.extents
+        = Extents.bindings p'.Problem.extents);
+      Alcotest.(check bool) (name ^ ": same inputs, definitions and sum") true
+        (p.Problem.inputs = p'.Problem.inputs
+        && p.Problem.defs = p'.Problem.defs
+        && p.Problem.sum = p'.Problem.sum))
+    [
+      ("ccsd.prob", get_ok ~ctx:"ccsd.prob" (Parser.parse_file ccsd_file));
+      ("fig1", get_ok ~ctx:"fig1" (Parser.parse fig1_text));
+      ("sum", get_ok ~ctx:"sum" (Parser.parse sum_text));
+      ("sum with third coefficients", thirds);
+    ]
 
 let test_parser_bad_character () =
   let msg = get_error ~ctx:"parse" (Parser.parse "extents a=2
@@ -376,7 +432,10 @@ let suite =
         case "bad characters rejected with position" test_parser_bad_character;
       ] );
     ( "expr.pretty",
-      [ case "formula/tree/sequence/problem rendering" test_pretty_printing ] );
+      [
+        case "formula/tree/sequence/problem rendering" test_pretty_printing;
+        case "problem print/parse roundtrip" test_problem_print_parse_roundtrip;
+      ] );
     ( "expr.problem",
       [
         case "binarize_left_deep" test_problem_binarize_left_deep;

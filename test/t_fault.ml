@@ -168,12 +168,9 @@ let test_rectangular_survivor_replan () =
   let problem, _, tree = ccsd ~scale:`Small in
   let ext = problem.Problem.extents in
   let topo = Topology.uniform params (* itanium: 2 procs/node *) in
-  let config_of g =
-    Search.default_config ~grid:g ~params ~rcost:(Rcost.of_topology topo g) ()
-  in
+  let machine = Planner.shaped topo ~procs:12 in
   let healthy =
-    get_ok ~ctx:"healthy"
-      (Search.optimize_topology ~config_of ~topo ~procs:12 ext tree)
+    get_ok ~ctx:"healthy" (Planner.solve_tree machine Planner.Exact ext tree)
   in
   Alcotest.(check int) "healthy uses 12 ranks" 12
     (Grid.procs healthy.Plan.grid);
@@ -182,7 +179,7 @@ let test_rectangular_survivor_replan () =
        (Degrade.survivor_procs topo healthy.Plan.grid));
   let report =
     get_ok ~ctx:"replan_best"
-      (Degrade.replan_best ~config_of ~topo ext tree ~healthy)
+      (Degrade.replan_best machine ext tree ~healthy)
   in
   let g = report.Degrade.degraded_grid in
   Alcotest.(check int) "degraded grid uses all 10 survivors" 10 (Grid.procs g);

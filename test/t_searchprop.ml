@@ -246,9 +246,10 @@ let test_beam_monotone () =
 (* ---------- topology-aware shape search vs its oracle ---------- *)
 
 (* Property: on random instances and random node widths, the
-   topology-aware DP ([Search.optimize_topology]) returns exactly the
-   brute-force-over-factorizations optimum, the plan certifies under
-   [Plan.validate], and the result is byte-identical for jobs 1/2/4.
+   topology-aware DP ([Planner.solve] on a shape-searching machine)
+   returns exactly the brute-force-over-factorizations optimum, the plan
+   certifies under [Plan.validate], and the result is byte-identical for
+   jobs 1/2/4.
    Covers uniform and node-aware topologies, square and non-square
    processor counts. *)
 let test_topology_matches_brute_force () =
@@ -269,16 +270,12 @@ let test_topology_matches_brute_force () =
         Topology.node_aware machine ~intra_latency:1e-8
           ~intra_bandwidth:(Prng.float_range rng ~lo:1e9 ~hi:1e11)
     in
-    let config_of grid =
-      Search.default_config ~grid ~params:machine
-        ~rcost:(Rcost.of_topology topo grid) ()
-    in
+    let shaped = Planner.shaped topo ~procs in
+    let config_of = Planner.config_of shaped in
     let ctx kind = Printf.sprintf "topo trial %d (%s)" trial kind in
-    let run ?jobs () =
-      Search.optimize_topology ?jobs ~config_of ~topo ~procs ext tree
-    in
-    (match (run (), Search.brute_force_topology ~config_of ~topo ~procs ext tree)
-     with
+    let run ?jobs () = Planner.solve_tree ?jobs shaped Planner.Exact ext tree in
+    let oracle = Planner.brute_force shaped ext (Opmin.Single tree) in
+    (match (run (), tree_plan oracle) with
     | Error _, Error _ -> ()
     | Ok p, Error _ ->
       Alcotest.failf "%s: feasible (%.6f) but oracle infeasible"
@@ -388,6 +385,60 @@ let test_sum_optimizer_matches_brute_force () =
                 reference (sum_plan_str sext spj))
             [ 2; 4 ]))
     instances
+
+(* Property: a sum on a node-aware machine goes through the same
+   planner as a tree — on seeded random sums at 8 ranks, 2 per node, the
+   shape search over sums returns exactly the brute-force optimum over
+   every factorization, the chosen plan is certified by the sum
+   validator, and it is byte-identical at jobs 1 and 2. *)
+let test_sum_on_node_grid_matches_brute_force () =
+  let machine =
+    Params.uniform ~name:"fuzz-node" ~latency:1e-5 ~bandwidth:1e9
+      ~flop_rate:1e9 ~procs_per_node:2 ~mem_per_node_bytes:4e9
+  in
+  let shaped =
+    Planner.shaped ~procs:8
+      (Topology.node_aware machine ~intra_latency:1e-8 ~intra_bandwidth:1e11)
+  in
+  let sum_plan ~ctx = function
+    | Ok (Planner.Sum sp) -> Some sp
+    | Ok (Planner.Tree _) -> Alcotest.failf "%s: tree plan for a sum" ctx
+    | Error _ -> None
+  in
+  let feasible = ref 0 in
+  List.iter
+    (fun { Gencorpus.sname; sext; sum } ->
+      let ctx = Printf.sprintf "node sum instance %s" sname in
+      let comp = Opmin.Summed sum in
+      let solve ?jobs () =
+        sum_plan ~ctx (Planner.solve ?jobs shaped Planner.Exact sext comp)
+      in
+      match (solve (), sum_plan ~ctx (Planner.brute_force shaped sext comp)) with
+      | None, None -> ()
+      | Some sp, None ->
+        Alcotest.failf "%s: feasible (%.6f) but oracle infeasible" ctx
+          sp.Plan.sum_comm_cost
+      | None, Some oracle ->
+        Alcotest.failf "%s: infeasible but oracle found %.6f" ctx
+          oracle.Plan.sum_comm_cost
+      | Some sp, Some oracle ->
+        incr feasible;
+        if
+          Float.abs (sp.Plan.sum_comm_cost -. oracle.Plan.sum_comm_cost) > 1e-9
+        then
+          Alcotest.failf "%s: cost %.6f vs oracle %.6f" ctx
+            sp.Plan.sum_comm_cost oracle.Plan.sum_comm_cost;
+        Alcotest.(check int) (ctx ^ ": 8 ranks used") 8
+          (Grid.procs sp.Plan.sum_grid);
+        certify_sum ~ctx
+          ~cfg:(Planner.config_of shaped sp.Plan.sum_grid)
+          ~ext:sext sp;
+        Alcotest.(check (option string))
+          (ctx ^ ": jobs=2 byte-identical")
+          (Some (sum_plan_str sext sp))
+          (Option.map (sum_plan_str sext) (solve ~jobs:2 ())))
+    (Gencorpus.sum_fuzz ~seed:7 ~count:6);
+  Alcotest.(check bool) "some instance is feasible" true (!feasible > 0)
 
 (* The acceptance bar from the issue: on the corpus instances with
    planted shared subtrees (including the permuted repeat), the sum
@@ -586,6 +637,8 @@ let suite =
           test_validate_sum_rejects_corrupt;
         case "single-term problems route identically"
           test_single_term_routes_identically;
+        case "sum on a node-aware grid matches brute force, jobs-invariant"
+          test_sum_on_node_grid_matches_brute_force;
       ] );
     ( "searchprop.parsearch",
       [

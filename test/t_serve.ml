@@ -156,6 +156,31 @@ let test_node_topology_cache_key () =
   if key (work ~topology:`Node ~nodes:4 ()) = key (work ~topology:`Node ~nodes:2 ())
   then Alcotest.fail "node count does not separate cache keys"
 
+(* Two node-aware requests at the same ranks per node but different
+   processor counts share a topology fingerprint; the key must still
+   separate them, or a hit would serve a plan for the wrong grid. *)
+let test_node_cache_key_separates_procs () =
+  let k8 = key (work ~procs:8 ~topology:`Node ~nodes:4 ()) in
+  let k12 = key (work ~procs:12 ~topology:`Node ~nodes:6 ()) in
+  if k8 = k12 then Alcotest.fail "processor count does not separate node keys";
+  with_server
+    (Server.default_config ~workers:1 ~cache_capacity:16 ())
+    (fun server ->
+      let node_req ~id ~procs ~nodes =
+        req
+          [
+            ("id", Json.Num id); ("op", Json.Str "optimize");
+            ("expr", Json.Str matmul_expr); ("procs", Json.Num procs);
+            ("topology", Json.Str "node"); ("nodes", Json.Num nodes);
+          ]
+      in
+      let r8 = call server (node_req ~id:1.0 ~procs:8.0 ~nodes:4.0) in
+      let r12 = call server (node_req ~id:2.0 ~procs:12.0 ~nodes:6.0) in
+      Alcotest.(check bool) "8-rank plan cold" false (get_bool "cached" r8);
+      Alcotest.(check bool) "12-rank plan cold" false (get_bool "cached" r12);
+      Alcotest.(check bool) "12-rank plan on 12 ranks" true
+        (contains (get_str "grid" r12) "(12 procs)"))
+
 (* ---------------- LRU cache ---------------- *)
 
 let test_cache_lru_eviction_deterministic () =
@@ -409,6 +434,23 @@ let test_degrade_always_is_approximate () =
       let r2 = call server (optimize_req matmul_expr) in
       Alcotest.(check bool) "not cached" false (get_bool "cached" r2))
 
+(* The node-aware ladder degrades through the same rungs. *)
+let test_node_degrade_always_is_approximate () =
+  with_server (default_cfg ~degrade:`Always ()) (fun server ->
+      let r =
+        call server
+          (req
+             [
+               ("id", Json.Num 1.0); ("op", Json.Str "validate");
+               ("expr", Json.Str matmul_expr); ("procs", Json.Num 8.0);
+               ("topology", Json.Str "node"); ("nodes", Json.Num 4.0);
+             ])
+      in
+      Alcotest.(check string) "status" "ok" (status r);
+      Alcotest.(check bool) "labelled approximate" true
+        (get_bool "approximate" r);
+      Alcotest.(check bool) "plan certified" true (get_bool "valid" r))
+
 (* ---------------- multi-term sums (DESIGN.md §16) ---------------- *)
 
 (* Two terms sharing the intermediate M = P·Q, so the sum optimizer has
@@ -525,6 +567,51 @@ let test_sum_degrade_always_is_approximate () =
       let r2 = call server (optimize_req sum_expr) in
       Alcotest.(check bool) "not cached" false (get_bool "cached" r2))
 
+(* Sums on node-aware grids need no code of their own: the one planner
+   searches every shape for the sum, the cache keys it under the
+   topology fingerprint, and a hit is byte-identical. *)
+let node_sum_req ~id ~op =
+  req
+    [
+      ("id", Json.Num id); ("op", Json.Str op); ("expr", Json.Str sum_expr);
+      ("procs", Json.Num 8.0); ("topology", Json.Str "node");
+      ("nodes", Json.Num 4.0);
+    ]
+
+let test_sum_on_node_grid_end_to_end () =
+  with_server (default_cfg ()) (fun server ->
+      let r1 = call server (node_sum_req ~id:1.0 ~op:"optimize") in
+      Alcotest.(check string) "cold ok" "ok" (status r1);
+      Alcotest.(check bool) "sum flagged" true (get_bool "sum" r1);
+      Alcotest.(check bool) "cold" false (get_bool "cached" r1);
+      Alcotest.(check bool) "exact" false (get_bool "approximate" r1);
+      Alcotest.(check bool) "a shape was chosen" true
+        (contains (get_str "grid" r1) "grid (8 procs)");
+      let r2 = call server (node_sum_req ~id:2.0 ~op:"optimize") in
+      Alcotest.(check bool) "hit" true (get_bool "cached" r2);
+      Alcotest.(check string) "byte-identical hit" (get_str "plan" r1)
+        (get_str "plan" r2);
+      let v = call server (node_sum_req ~id:3.0 ~op:"validate") in
+      Alcotest.(check string) "validate ok" "ok" (status v);
+      Alcotest.(check bool) "sum plan certified" true (get_bool "valid" v);
+      let sim = call server (node_sum_req ~id:4.0 ~op:"simulate") in
+      Alcotest.(check string) "simulate ok" "ok" (status sim);
+      match Json.member "simulated" sim with
+      | Some (Json.Obj _) -> ()
+      | _ -> Alcotest.fail "no simulated timing")
+
+let test_sum_node_cache_key_separation () =
+  let uniform = key (work ~expr:sum_expr ()) in
+  let node = key (work ~expr:sum_expr ~procs:8 ~topology:`Node ~nodes:4 ()) in
+  Alcotest.(check string) "deterministic" node
+    (key (work ~expr:sum_expr ~procs:8 ~topology:`Node ~nodes:4 ()));
+  Alcotest.(check bool) "node sum key carries the topology fingerprint" true
+    (contains node "topo=");
+  if node = uniform then
+    Alcotest.fail "topology \"node\" does not separate sum cache keys";
+  if key (work ~expr:sum_expr ~topology:`Node ()) = uniform then
+    Alcotest.fail "same procs: node and uniform sum keys collide"
+
 let test_sum_greedy_rung_plan_certified () =
   (* The ladder's last rung calls Search.greedy_sum (the labelling as
      approximate is covered by test_sum_degrade_always_is_approximate):
@@ -614,6 +701,8 @@ let suite =
         case "keys separate machines and limits" test_cache_key_separation;
         case "keys erase intermediate names" test_cache_key_alpha_renaming;
         case "node topology keyed separately" test_node_topology_cache_key;
+        case "node keys separate processor counts"
+          test_node_cache_key_separates_procs;
         case "LRU eviction deterministic" test_cache_lru_eviction_deterministic;
         case "hit/miss counters" test_cache_counters;
       ] );
@@ -631,6 +720,8 @@ let suite =
         case "deadline exceeded in search" test_deadline_exceeded_in_search;
         case "degrade always labels approximate"
           test_degrade_always_is_approximate;
+        case "node degrade always labels approximate"
+          test_node_degrade_always_is_approximate;
         case "worker crash isolated" test_worker_crash_isolation;
         case "drain rejects new work" test_drain_rejects_new_work;
       ] );
@@ -644,6 +735,10 @@ let suite =
         case "sum degrade always labels approximate"
           test_sum_degrade_always_is_approximate;
         case "greedy sum rung certified" test_sum_greedy_rung_plan_certified;
+        case "sum on a node-aware grid end to end"
+          test_sum_on_node_grid_end_to_end;
+        case "node sum key disjoint from uniform sum key"
+          test_sum_node_cache_key_separation;
       ] );
     ( "serve.cancel",
       [

@@ -125,11 +125,10 @@ let check_same_grid_identity ~ctx ext tree procs =
    then strictly lower cost is required. *)
 let check_shape_choice_identity ~ctx ext tree procs square_plan =
   match
-    Search.optimize_topology
-      ~config_of:(config_of_topo topo_uniform)
-      ~topo:topo_uniform ~procs ext tree
+    Planner.solve_tree (Planner.shaped topo_uniform ~procs) Planner.Exact ext
+      tree
   with
-  | Error e -> Alcotest.failf "%s: optimize_topology failed: %s" ctx e
+  | Error e -> Alcotest.failf "%s: shape search failed: %s" ctx e
   | Ok p ->
     if Grid.is_square p.Plan.grid then
       Alcotest.(check string)
@@ -272,7 +271,7 @@ let test_shape_candidates () =
   let shapes =
     List.map
       (fun g -> (Grid.rows g, Grid.cols g))
-      (Search.shape_candidates ~procs:12)
+      (Planner.shape_candidates ~procs:12)
   in
   Alcotest.(check (list (pair int int)))
     "all factorizations of 12"
@@ -292,12 +291,11 @@ let test_node_aware_beats_uniform_choice () =
   List.iter
     (fun { Gencorpus.name; ext; tree } ->
       match
-        ( Search.optimize_topology
-            ~config_of:(config_of_topo topo_node)
-            ~topo:topo_node ~procs ext tree,
-          Search.optimize_topology
-            ~config_of:(config_of_topo topo_uniform_fast)
-            ~topo:topo_uniform_fast ~procs ext tree )
+        ( Planner.solve_tree (Planner.shaped topo_node ~procs) Planner.Exact
+            ext tree,
+          Planner.solve_tree
+            (Planner.shaped topo_uniform_fast ~procs)
+            Planner.Exact ext tree )
       with
       | Ok node_plan, Ok uniform_plan ->
         let node_grid = node_plan.Plan.grid in
@@ -313,7 +311,7 @@ let test_node_aware_beats_uniform_choice () =
         let cost_baseline = Plan.comm_cost uniform_shape_repriced in
         if
           (not (Grid.is_square node_grid))
-          && Search.intra_axis_count topo_node node_grid > 0
+          && Planner.intra_axis_count topo_node node_grid > 0
           && Grid.rows node_grid <> Grid.rows uniform_grid
           && cost_node < cost_baseline *. (1.0 -. 1e-9)
         then begin
@@ -321,9 +319,10 @@ let test_node_aware_beats_uniform_choice () =
           (* The oracle agrees shape-by-shape and the plan certifies. *)
           let oracle =
             get_ok ~ctx:(name ^ " oracle")
-              (Search.brute_force_topology
-                 ~config_of:(config_of_topo topo_node)
-                 ~topo:topo_node ~procs ext tree)
+              (tree_plan
+                 (Planner.brute_force
+                    (Planner.shaped topo_node ~procs)
+                    ext (Opmin.Single tree)))
           in
           check_close ~ctx:(name ^ " oracle cost") (Plan.comm_cost oracle)
             cost_node;
@@ -347,10 +346,10 @@ let test_non_square_procs () =
   let problem, _, tree = ccsd ~scale:`Tiny in
   let ext = problem.Problem.extents in
   let plan =
-    get_ok ~ctx:"optimize_topology"
-      (Search.optimize_topology
-         ~config_of:(config_of_topo topo_uniform)
-         ~topo:topo_uniform ~procs:6 ext tree)
+    get_ok ~ctx:"shape search"
+      (Planner.solve_tree
+         (Planner.shaped topo_uniform ~procs:6)
+         Planner.Exact ext tree)
   in
   Alcotest.(check int) "6 ranks used" 6 (Grid.procs plan.Plan.grid);
   (match Plan.validate plan with
@@ -358,6 +357,33 @@ let test_non_square_procs () =
   | Error e -> Alcotest.failf "plan fails validation: %s" e);
   let timing = simulate params ext plan in
   Alcotest.(check bool) "simulates" true (timing.Simulate.total_seconds > 0.0)
+
+(* Anytime refinement reports the rounds of one grid: a shape-searching
+   machine refuses it up front (no round is reported, so none can be
+   mistaken for another grid's), while the square machine still runs it. *)
+let test_anytime_single_grid_only () =
+  let problem, _, tree = ccsd ~scale:`Tiny in
+  let ext = problem.Problem.extents in
+  let rounds = ref 0 in
+  let anytime = Planner.Anytime (fun _ -> incr rounds) in
+  let machine topology =
+    get_ok ~ctx:"machine"
+      (Planner.of_request ~topology ~procs:4 ~nodes:2 ())
+  in
+  ignore
+    (get_error ~ctx:"anytime on a shape search"
+       (Planner.solve_tree (machine `Node) anytime ext tree));
+  Alcotest.(check int) "no round reported" 0 !rounds;
+  ignore
+    (get_error ~ctx:"supports"
+       (Planner.supports ~fusion:`All (machine `Node) anytime
+          (Opmin.Single tree)));
+  let plan =
+    get_ok ~ctx:"anytime on the square machine"
+      (Planner.solve_tree (machine `Uniform) anytime ext tree)
+  in
+  Alcotest.(check bool) "rounds reported" true (!rounds > 0);
+  Alcotest.(check int) "square grid" 2 (Grid.side plan.Plan.grid)
 
 let suite =
   [
@@ -397,5 +423,7 @@ let suite =
           test_node_aware_beats_uniform_choice;
         case "non-square processor counts plan end-to-end"
           test_non_square_procs;
+        case "anytime refinement is refused on a shape search"
+          test_anytime_single_grid_only;
       ] );
   ]
