@@ -980,7 +980,9 @@ let search_cfg () =
    sequential cache-free, memoized, and the work-stealing pool at
    jobs=2/4 with the scheduler's task/steal counters, then the greedy
    seed (validated and timed against the exact DP) and the anytime
-   ladder (checked to converge on the exact optimum). Checks every
+   ladder (checked to converge on the exact optimum), plus the
+   sequential DP's generated candidates and its minor words and
+   nanoseconds per candidate. Checks every
    engine returns byte-identical plans and writes BENCH_search.json.
    Speedups depend on the host's core count (recorded in the JSON; rows
    with jobs > cores are flagged oversubscribed — on a single core,
@@ -1006,6 +1008,17 @@ let search () =
           Option.value ~default:0 (List.assoc_opt k (Obs.counters sink))
         in
         let seq_s, seq_plan = best_of (fun () -> solve ~memo:false ()) in
+        (* Per-candidate cost of the sequential cache-free DP: the
+           candidates it generates (legal, within the memory limit), and
+           its minor-heap words and wall time divided by them. *)
+        let generated, words =
+          let sink = Obs.create () in
+          let w0 = Gc.minor_words () in
+          ignore (Obs.with_sink sink (fun () -> solve ~memo:false ()));
+          let words = Gc.minor_words () -. w0 in
+          (counter sink "search.solutions_generated", words)
+        in
+        let per_cand x = x /. float_of_int (max 1 generated) in
         let memo_s, _ = best_of (fun () -> solve ~memo:true ()) in
         let memo_sink = Obs.create () in
         let memo_plan =
@@ -1048,8 +1061,9 @@ let search () =
         let steps = List.length seq_plan.Plan.steps in
         Format.printf
           "%-14s %d steps  seq %8.2f ms  memo %8.2f ms (%d hits / %d \
-           misses)  %s  identical %b@.  greedy %8.2f ms (%5.2f%% of exact, \
-           valid %b, cost %.4g vs %.4g)  anytime %d rounds, converged %b@."
+           misses)  %s  identical %b@.  %d candidates, %.0f words and %.0f \
+           ns each@.  greedy %8.2f ms (%5.2f%% of exact, valid %b, cost \
+           %.4g vs %.4g)  anytime %d rounds, converged %b@."
           name steps (1e3 *. seq_s) (1e3 *. memo_s) hits misses
           (String.concat "  "
              (List.map
@@ -1058,10 +1072,12 @@ let search () =
                     (seq_s /. s)
                     (if over then ", oversubscribed" else ""))
                 jobs_rows))
-          identical (1e3 *. greedy_s)
+          identical generated (per_cand words) (per_cand (1e9 *. seq_s))
+          (1e3 *. greedy_s)
           (100. *. greedy_s /. seq_s)
           greedy_valid greedy_cost exact_cost !rounds converged;
         ( name, steps, seq_s, memo_s, hits, misses, jobs_rows, identical,
+          (generated, per_cand words, per_cand (1e9 *. seq_s)),
           (greedy_s, greedy_valid, greedy_cost, exact_cost),
           (!rounds, converged) ))
       cases
@@ -1075,19 +1091,23 @@ let search () =
       List.iteri
         (fun k
              ( name, steps, seq_s, memo_s, hits, misses, jobs_rows,
-               identical, (greedy_s, greedy_valid, greedy_cost, exact_cost),
+               identical, (generated, words_per, ns_per),
+               (greedy_s, greedy_valid, greedy_cost, exact_cost),
                (rounds, converged) ) ->
           p
             "    {\"name\": %S, \"plan_steps\": %d, \
              \"sequential_seconds\": %.6e, \"memo_seconds\": %.6e, \
              \"speedup_memo\": %.3f, \"memo_hits\": %d, \"memo_misses\": \
              %d,\n\
+            \     \"generated\": %d, \"words_per_candidate\": %.1f, \
+             \"ns_per_candidate\": %.1f,\n\
             \     \"jobs\": [%s],\n\
             \     \"plans_identical\": %b,\n\
             \     \"greedy\": {\"seconds\": %.6e, \"fraction_of_exact\": \
              %.5f, \"valid\": %b, \"cost\": %.6e, \"exact_cost\": %.6e},\n\
             \     \"anytime\": {\"rounds\": %d, \"converged\": %b}}%s\n"
-            name steps seq_s memo_s (seq_s /. memo_s) hits misses
+            name steps seq_s memo_s (seq_s /. memo_s) hits misses generated
+            words_per ns_per
             (String.concat ", "
                (List.map
                   (fun (j, s, over, tasks, steals, _) ->

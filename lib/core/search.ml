@@ -32,20 +32,20 @@ let mem_limit cfg =
   Option.value cfg.mem_limit_bytes
     ~default:cfg.params.Params.mem_per_node_bytes
 
-let fits cfg mem = Memacct.node_bytes cfg.params mem <= mem_limit cfg
-
 (* Unordered distribution content, for matching producer against consumer
    (the pair order is an orientation artifact; see DESIGN.md). *)
 let content_key dist =
   String.concat "," (List.sort compare (List.map Index.name (Dist.indices dist)))
 
-let same_content a b = String.equal (content_key a) (content_key b)
-
+(* [rots] counts the output rotations over every step below and at this
+   node — the [better] and pruning tie-break, carried so neither walks
+   [steps]. *)
 type solution = {
   prod_dist : Dist.t;
   fused : Index.Set.t;
   cost : float;
   mem : Memacct.t;
+  rots : int;
   steps : Plan.step list;
   presums : Plan.presum list;
 }
@@ -55,12 +55,6 @@ type child_case =
   | Cpresum of { out : Aref.t; sum : Index.t list; source : Aref.t }
       (** a unary summation of an input, evaluated processor-locally *)
   | Csol of solution
-
-let child_cost = function Cleaf _ | Cpresum _ -> 0.0 | Csol s -> s.cost
-
-let child_mem = function
-  | Cleaf _ | Cpresum _ -> Memacct.empty
-  | Csol s -> s.mem
 
 let child_steps = function Cleaf _ | Cpresum _ -> [] | Csol s -> s.steps
 
@@ -93,90 +87,13 @@ let fusion_candidates ?cap cfg ~child ~parent =
     in
     [ Index.Set.inter wanted fusible ]
 
-(* Fusion set governing a role's communication at this node. *)
-let fused_of_role ~f_out ~f_left ~f_right = function
-  | Variant.Out -> f_out
-  | Variant.Left -> f_left
-  | Variant.Right -> f_right
-
-(* Loops that force the node's whole computation inside them: the fusion
-   with the node's own parent (the produced array exists slice-wise), and
-   the fusion on any internal child edge (the consumed intermediate is
-   stored reduced, so its slices are transient). A leaf's edge fusion does
-   NOT force nesting — inputs stay fully stored and fusing their edge only
-   streams their communication in slices.
-
-   Every rotated array must then be communicated inside the forcing loops:
-   the loop index must be a dimension of the array (else it would need a
-   full re-rotation per iteration, which the MsgFactor equations cannot
-   express) and be fused on that array's edge so the cost is charged. *)
-let forcing_set ~f_out ~f_left ~f_right ~left_internal ~right_internal =
-  let add cond set acc = if cond then Index.Set.union set acc else acc in
-  Index.Set.empty |> Index.Set.union f_out
-  |> add left_internal f_left
-  |> add right_internal f_right
-
-let rotated_context_ok variant ~forcing ~f_out ~f_left ~f_right =
-  Index.Set.for_all
-    (fun t ->
-      List.for_all
-        (fun ((role : Variant.role), _axis) ->
-          let dims = Aref.index_set (Variant.aref_of variant role) in
-          Index.Set.mem t dims
-          && Index.Set.mem t (fused_of_role ~f_out ~f_left ~f_right role))
-        (Variant.rotated variant))
-    forcing
-  (* A fused loop whose index is distributed along a rotated array's own
-     rotation axis would exchange slices between processors iterating
-     different chunk values of that loop — not executable. *)
-  && List.for_all
-       (fun ((role : Variant.role), axis) ->
-         Index.Set.for_all
-           (fun t ->
-             Dist.position_of (Variant.dist_of variant role) t <> Some axis)
-           (fused_of_role ~f_out ~f_left ~f_right role))
-       (Variant.rotated variant)
-
-(* Consumption of a child in distribution [cons] when it was produced in
-   [prod]: free when the contents agree; otherwise a redistribution, whose
-   legality under fusion is the paper's constraint (iii) (the fused loop
-   ranges must agree at both ends), costed per fused iteration. *)
-let redistribution cfg ext ~variant ~role ~fused ~prod =
-  let cons = Variant.dist_of variant role in
-  if same_content prod cons then Ok None
-  else if not (Fusionset.dist_compatible ~fused ~prod ~cons) then
-    Error `Illegal
-  else begin
-    let rows = Grid.rows cfg.grid and cols = Grid.cols cfg.grid in
-    let dims = Aref.indices (Variant.aref_of variant role) in
-    let words = Eqs.dist_size_rect ext ~rows ~cols ~alpha:cons ~fused ~dims in
-    let factor =
-      Eqs.msg_factor_rect ext ~rows ~cols ~alpha:cons ~fused ~dims
-    in
-    let cost =
-      cfg.redist_factor *. float_of_int factor
-      *. Rcost.query cfg.rcost ~axis:1 ~words
-    in
-    Ok (Some { Plan.role; from_dist = prod; to_dist = cons; cost })
-  end
-
 (* Equal-cost plans are common (the paper notes "any 2 arrays can be
    rotated for the same cost"); prefer rotating inputs over outputs — a
    rotated output ends displaced, so keeping it fixed is the tidier plan
    and matches the paper's choices. *)
-let out_rotations steps =
-  List.fold_left
-    (fun acc (s : Plan.step) ->
-      acc
-      + List.length
-          (List.filter
-             (fun (r, _) -> Variant.role_equal r Variant.Out)
-             s.rotations))
-    0 steps
-
 let better a b =
   match Float.compare a.cost b.cost with
-  | 0 -> compare (out_rotations a.steps) (out_rotations b.steps)
+  | 0 -> compare a.rots b.rots
   | c -> c
 
 let fused_key fused =
@@ -185,96 +102,408 @@ let fused_key fused =
 let orient_key dist =
   String.concat "," (List.map Index.name (Dist.indices dist))
 
-(* Pareto pruning within (production distribution content, fusion) groups:
-   the paper's "inferior solution" rule. A solution is dominated when
-   another solution of its group is no worse on (cost, node bytes) and
-   strictly better on cost, bytes or output rotations. Exact ties beyond
-   that are broken by an explicit deterministic key — the oriented
-   production distribution (the pair order the content key deliberately
-   erases), then enumeration order — so exactly one of a set of
-   duplicates survives. Each solution's bytes, rotation count and keys
-   are computed once up front, not inside the O(n²) inner loop.
+(* --- Bitmask legality --------------------------------------------------- *)
 
-   Dominance is a fixed predicate of a group's members, so each group can
-   be filtered on its own: when a pool is supplied, groups are fanned out
-   across its domains. The group collection order and the within-group
-   order are fixed by the insertion sequence alone, so the output — not
-   just the surviving set — is identical however many domains run the
-   filter. *)
-let prune_solutions ?pool ?(fan_min = 0) cfg sols =
-  let fan = List.length sols >= fan_min in
-  let pool_map f arr =
-    match pool with
-    | Some p when fan && Array.length arr > 1 -> Parsearch.map_array p f arr
-    | _ -> Array.map f arr
-  in
-  let annotated =
-    let arr = Array.of_list sols in
-    Array.to_list
-      (pool_map
-         (fun (ord, s) ->
-           ( s,
-             Memacct.node_bytes cfg.params s.mem,
-             out_rotations s.steps,
-             orient_key s.prod_dist,
-             ord ))
-         (Array.mapi (fun ord s -> (ord, s)) arr))
-  in
-  let groups = Hashtbl.create 32 in
-  List.iter
-    (fun ((s, _, _, _, _) as a) ->
-      let k = (content_key s.prod_dist, fused_key s.fused) in
-      Hashtbl.replace groups k
-        (a :: Option.value ~default:[] (Hashtbl.find_opt groups k)))
-    annotated;
-  let filter_group group =
-    let dominated (s, bytes, rots, okey, ord) =
-      List.exists
-        (fun (s', bytes', rots', okey', ord') ->
-          s' != s
-          && s'.cost <= s.cost
-          && bytes' <= bytes
-          && (s'.cost < s.cost || bytes' < bytes || rots' < rots
-             || (rots' = rots
-                && (String.compare okey' okey < 0
-                   || (String.equal okey' okey && ord' < ord)))))
-        group
+(* Each index a node's fusion sets and distributions can mention gets one
+   bit, so the legality tests of the enumeration's inner loop are integer
+   operations instead of [Index.Set] walks. *)
+let bits_of indices =
+  if Index.Set.cardinal indices > Sys.int_size then None
+  else
+    Some
+      (fst
+         (Index.Set.fold
+            (fun i (m, b) -> (Index.Map.add i (1 lsl b) m, b + 1))
+            indices (Index.Map.empty, 0)))
+
+(* A contraction's loop indices plus any further [sets]. *)
+let universe (c : Contraction.t) sets =
+  List.fold_left Index.Set.union
+    (Index.set_of_list (c.i_set @ c.j_set @ c.k_set))
+    sets
+
+let mask_of_list bits l =
+  List.fold_left (fun acc i -> acc lor Index.Map.find i bits) 0 l
+
+let mask bits set =
+  Index.Set.fold (fun i acc -> acc lor Index.Map.find i bits) set 0
+
+module Legal = struct
+  (* One consumption option as the legality rules see it: its fusion set
+     and whether its fused loops force the node's nesting. Internal and
+     presummed children store their reduced array under the edge fusion,
+     so their fused loops force it; a leaf's edge fusion only streams its
+     communication and does not. *)
+  type side = { fm : int; internal : bool }
+
+  (* A variant's rules as masks. [forbid_*]: indices the role's own fusion
+     set may not contain — distributed ones (unless distributed fusion is
+     allowed), and, for a rotated array, the one on its own rotation axis
+     (a fused loop there would exchange slices between processors
+     iterating different chunks of it). [ctx]: indices that are
+     dimensions of both rotated arrays. *)
+  type t = {
+    forbid_out : int;
+    forbid_left : int;
+    forbid_right : int;
+    ctx : int;
+    rot_out : bool;
+    rot_left : bool;
+    rot_right : bool;
+  }
+
+  let make bits cfg variant =
+    let forbid role =
+      let dist = Variant.dist_of variant role in
+      let distributed =
+        if cfg.allow_distributed_fusion then 0
+        else mask_of_list bits (Dist.indices dist)
+      in
+      match Option.bind (Variant.axis_of variant role) (Dist.at dist) with
+      | Some t -> distributed lor Index.Map.find t bits
+      | None -> distributed
     in
-    List.filter_map
-      (fun ((s, _, _, _, _) as a) -> if dominated a then None else Some s)
-      group
-  in
-  let group_list = Hashtbl.fold (fun _ group acc -> group :: acc) groups [] in
-  let filtered = pool_map filter_group (Array.of_list group_list) in
-  (* [group_list] holds the fold's visit order reversed, and the old
-     sequential fold accumulated each filtered group in front of the
-     previously visited ones — so concatenating in this order reproduces
-     the historical output byte for byte. *)
-  List.concat (Array.to_list filtered)
+    {
+      forbid_out = forbid Variant.Out;
+      forbid_left = forbid Variant.Left;
+      forbid_right = forbid Variant.Right;
+      ctx =
+        List.fold_left
+          (fun acc (role, _) ->
+            acc land mask_of_list bits (Variant.array_dims variant role))
+          (-1) (Variant.rotated variant);
+      rot_out = Variant.rotates variant Variant.Out;
+      rot_left = Variant.rotates variant Variant.Left;
+      rot_right = Variant.rotates variant Variant.Right;
+    }
 
-(* Anytime narrowing: keep the [k] best survivors under a total order —
-   cost, then node bytes, then output rotations, then the oriented
-   production-distribution key, then the fused-set key, then enumeration
-   order. The order is total (the final component never ties), so the cut
-   is deterministic for every [jobs] setting. *)
-let beam_filter cfg beam sols =
-  match beam with
-  | Some k when List.length sols > k ->
-    let annotated =
+  let comparable a b = a land lnot b = 0 || b land lnot a = 0
+
+  (* Positions of the [n] options whose mask avoids [forbid], in their
+     original order. *)
+  let keep forbid n fm =
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      if fm i land forbid = 0 then acc := i :: !acc
+    done;
+    Array.of_list !acc
+
+  (* Calls [f li ri oi] for every legal (left, right, out) combination, in
+     left × right × out enumeration order. Beyond the separable rules: the
+     three fusion sets form a chain under inclusion, and every index of
+     the forcing set — the output fusion plus the fusions of forcing
+     children — is a dimension of both rotated arrays and fused on both
+     their edges. A rotated array is communicated inside the forcing
+     loops: a loop over an index it lacks would need a full re-rotation
+     per iteration, which the MsgFactor equations cannot express, and an
+     unfused one would leave the per-iteration cost uncharged. *)
+  let iter lg ~(left : side array) ~(right : side array) ~(outs : int array)
+      f =
+    let ls = keep lg.forbid_left (Array.length left) (fun i -> left.(i).fm) in
+    let rs =
+      keep lg.forbid_right (Array.length right) (fun i -> right.(i).fm)
+    in
+    let os = keep lg.forbid_out (Array.length outs) (fun i -> outs.(i)) in
+    Array.iter
+      (fun li ->
+        let l = left.(li) in
+        let ctx_l = if lg.rot_left then lg.ctx land l.fm else lg.ctx in
+        Array.iter
+          (fun ri ->
+            let r = right.(ri) in
+            if comparable l.fm r.fm then begin
+              let forced =
+                (if l.internal then l.fm else 0)
+                lor if r.internal then r.fm else 0
+              in
+              let ctx_lr = if lg.rot_right then ctx_l land r.fm else ctx_l in
+              Array.iter
+                (fun oi ->
+                  let om = outs.(oi) in
+                  let allowed = if lg.rot_out then ctx_lr land om else ctx_lr in
+                  if
+                    comparable l.fm om && comparable r.fm om
+                    && (om lor forced) land lnot allowed = 0
+                  then f li ri oi)
+                os
+            end)
+          rs)
+      ls
+
+  let admitted cfg variant ~left ~right ~f_out =
+    match
+      bits_of
+        (universe variant.Variant.contraction
+           (List.map fst left @ List.map fst right @ f_out))
+    with
+    | None -> invalid_arg "Search.Legal.admitted: too many indices"
+    | Some bits ->
+      let side (fused, internal) = { fm = mask bits fused; internal } in
+      let acc = ref [] in
+      iter (make bits cfg variant)
+        ~left:(Array.of_list (List.map side left))
+        ~right:(Array.of_list (List.map side right))
+        ~outs:(Array.of_list (List.map (mask bits) f_out))
+        (fun li ri oi -> acc := (li, ri, oi) :: !acc);
+      List.rev !acc
+end
+
+(* --- Pareto pruning and the beam cut ------------------------------------ *)
+
+module Pareto = struct
+  type 'a view = {
+    cost : 'a -> float;
+    bytes : 'a -> float;
+    rots : 'a -> int;
+    okey : 'a -> string;
+    group : 'a -> int;
+    group_key : 'a -> string * string;
+  }
+
+  (* The paper's "inferior solution" rule within (production-distribution
+     content, fusion) groups. [s'] dominates [s] when it is no worse on
+     (cost, node bytes) and strictly better on cost, bytes or output
+     rotations; exact ties beyond that are broken by the oriented
+     production distribution (the pair order the content key erases),
+     then enumeration order, so exactly one of a set of duplicates
+     survives.
+
+     Given (cost', bytes') ≤ (cost, bytes) componentwise, that condition is
+     exactly (cost', bytes', rots', okey', ord') < (cost, bytes, rots, okey,
+     ord) lexicographically. So after a lexicographic sort of a group
+     every earlier member has cost' ≤ cost, and a member is dominated iff
+     some earlier one has bytes' ≤ bytes: it survives iff its bytes are
+     strictly below every earlier member's. One O(n log n) sweep per
+     group replaces the pairwise scan.
+
+     Output order: groups in the order a [(content, fused)]-keyed
+     [Hashtbl] created with size 32 folds them in (keys inserted in item
+     order), last visited first; within a group, survivors in reverse
+     item order. Each group is filtered on its own, so with a pool the
+     groups are fanned out across its domains — the output is identical
+     however many domains run the filter. *)
+  let prune ?pool ?(fan_min = 0) v items =
+    let n = Array.length items in
+    let cost = Array.map v.cost items and bytes = Array.map v.bytes items in
+    let ngroups = Array.fold_left (fun m x -> max m (v.group x + 1)) 0 items in
+    let members = Array.make ngroups [] in
+    let order = Hashtbl.create 32 in
+    for idx = 0 to n - 1 do
+      let g = v.group items.(idx) in
+      if members.(g) = [] then
+        Hashtbl.replace order (v.group_key items.(idx)) g;
+      members.(g) <- idx :: members.(g)
+    done;
+    let lex i j =
+      match Float.compare cost.(i) cost.(j) with
+      | 0 -> (
+        match Float.compare bytes.(i) bytes.(j) with
+        | 0 -> (
+          match Int.compare (v.rots items.(i)) (v.rots items.(j)) with
+          | 0 -> (
+            match String.compare (v.okey items.(i)) (v.okey items.(j)) with
+            | 0 -> Int.compare i j
+            | c -> c)
+          | c -> c)
+        | c -> c)
+      | c -> c
+    in
+    let filter_group g =
+      let sorted = Array.of_list members.(g) in
+      Array.sort lex sorted;
+      let survivors = ref [] in
+      Array.iter
+        (fun i ->
+          match !survivors with
+          | best :: _ when not (bytes.(i) < bytes.(best)) -> ()
+          | _ -> survivors := i :: !survivors)
+        sorted;
+      List.map
+        (fun i -> items.(i))
+        (List.sort (fun a b -> Int.compare b a) !survivors)
+    in
+    let groups =
+      Array.of_list (Hashtbl.fold (fun _ g acc -> g :: acc) order [])
+    in
+    let filtered =
+      match pool with
+      | Some p when n >= fan_min && Array.length groups > 1 ->
+        Parsearch.map_array p filter_group groups
+      | _ -> Array.map filter_group groups
+    in
+    List.concat (Array.to_list filtered)
+
+  (* Anytime narrowing: keep the [k] best under a total order — cost, then
+     node bytes, then output rotations, then the oriented
+     production-distribution key, then the fused-set key, then position.
+     The order never ties, so the cut is deterministic for every [jobs]
+     setting. *)
+  let beam v k items =
+    match k with
+    | Some k when List.length items > k ->
       List.mapi
-        (fun ord s ->
-          ( s,
-            ( s.cost,
-              Memacct.node_bytes cfg.params s.mem,
-              out_rotations s.steps,
-              orient_key s.prod_dist,
-              fused_key s.fused,
-              ord ) ))
-        sols
-    in
-    let cmp (_, a) (_, b) = compare a b in
-    List.sort cmp annotated |> Listx.take k |> List.map fst
-  | _ -> sols
+        (fun ord x ->
+          ( (v.cost x, v.bytes x, v.rots x, v.okey x, snd (v.group_key x), ord),
+            x ))
+        items
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> Listx.take k |> List.map snd
+    | _ -> items
+end
+
+(* --- Compact candidates ------------------------------------------------- *)
+
+(* A consumption option of one child, the half that does not depend on
+   the variant. [prod]: the distribution an intermediate was produced in,
+   or a pinned leaf's stored one, renamed onto this occurrence ([None]
+   for inputs and presums, which materialize in whatever distribution the
+   variant wants). *)
+type case = {
+  kind : child_case;
+  cfused : Index.Set.t;
+  leg : Legal.side;
+  prod : Dist.t option;
+  prod_m : int;
+  pin_words : int;  (** resident words of a pinned leaf *)
+}
+
+(* A case under one variant: what it adds to a candidate's cost and
+   memory. [res]/[buf]: the child's resident words plus this edge's, and
+   the larger of the child's buffer and this edge's message. [rc]: the
+   role's rotation cost (0 when it does not rotate); [rdc]: the
+   redistribution cost (0 when none). *)
+type vside = {
+  vc : case;
+  ccost : float;
+  res : int;
+  buf : int;
+  rc : float;
+  rdc : float;
+  redist : bool;
+  illegal : bool;  (** no legal redistribution into this variant *)
+  crots : int;
+}
+
+(* An output fusion under one variant: the produced block's resident
+   words (and, when the output rotates, its message) and rotation cost. *)
+type vout = {
+  ofused : Index.Set.t;
+  fid : int;  (** group id of the fused-set key: its first position *)
+  ores : int;
+  obuf : int;
+  orc : float;
+}
+
+type vinfo = {
+  variant : Variant.t;
+  alpha_out : Dist.t;
+  okey : string;
+  ckey : string;
+  cid : int;  (** group id of the content key: its first variant *)
+  out_rot : int;
+}
+
+(* A candidate carries what pruning and the beam compare, plus the inputs
+   to rebuild its step; steps and presums are materialized only for the
+   candidates that survive. *)
+type cand = {
+  cost : float;
+  bytes : float;
+  mem : Memacct.t;
+  rots : int;
+  v : vinfo;
+  l : vside;
+  r : vside;
+  o : vout;
+  gid : int;
+}
+
+(* Interned group keys: a key's id is the first position holding it. *)
+let first_ids keys =
+  let seen = Hashtbl.create 16 in
+  Array.mapi
+    (fun i k ->
+      match Hashtbl.find_opt seen k with
+      | Some j -> j
+      | None ->
+        Hashtbl.add seen k i;
+        i)
+    keys
+
+let cand_view fkeys =
+  {
+    Pareto.cost = (fun c -> c.cost);
+    bytes = (fun c -> c.bytes);
+    rots = (fun c -> c.rots);
+    okey = (fun c -> c.v.okey);
+    group = (fun c -> c.gid);
+    group_key = (fun c -> (c.v.ckey, fkeys.(c.o.fid)));
+  }
+
+(* Rebuild a surviving candidate's solution: its step, the rotation and
+   redistribution records, and the presums of its input edges. *)
+let materialize ext ~contraction ~flops c =
+  let variant = c.v.variant in
+  let rc_of = function
+    | Variant.Out -> c.o.orc
+    | Variant.Left -> c.l.rc
+    | Variant.Right -> c.r.rc
+  in
+  let rotations =
+    List.map (fun (role, _) -> (role, rc_of role)) (Variant.rotated variant)
+  in
+  let redist role s =
+    match s.vc.prod with
+    | Some from_dist when s.redist ->
+      Some
+        {
+          Plan.role;
+          from_dist;
+          to_dist = Variant.dist_of variant role;
+          cost = s.rdc;
+        }
+    | _ -> None
+  in
+  let presum role s =
+    match s.vc.kind with
+    | Cpresum { out; sum; source } ->
+      [
+        {
+          Plan.out;
+          sum;
+          source;
+          dist = Variant.dist_of variant role;
+          fused = s.vc.cfused;
+          flops = Extents.size_of ext (Aref.indices source);
+        };
+      ]
+    | Cleaf _ | Csol _ -> []
+  in
+  let step =
+    {
+      Plan.contraction;
+      variant;
+      fusion_out = c.o.ofused;
+      fusion_left = c.l.vc.cfused;
+      fusion_right = c.r.vc.cfused;
+      rotations;
+      redists =
+        List.filter_map Fun.id
+          [ redist Variant.Left c.l; redist Variant.Right c.r ];
+      flops;
+    }
+  in
+  {
+    prod_dist = c.v.alpha_out;
+    fused = c.o.ofused;
+    cost = c.cost;
+    mem = c.mem;
+    rots = c.rots;
+    steps = child_steps c.l.vc.kind @ child_steps c.r.vc.kind @ [ step ];
+    presums =
+      child_presums c.l.vc.kind @ child_presums c.r.vc.kind
+      @ presum Variant.Left c.l @ presum Variant.Right c.r;
+  }
 
 let err fmt = Format.kasprintf (fun s -> Error s) fmt
 
@@ -531,6 +760,248 @@ let rec contract_weight = function
 let fork_grain = 1
 let fanout_min = 256
 
+(* --- One node's enumeration --------------------------------------------- *)
+
+(* A node's consumption options, shared by every variant's enumeration:
+   the cases of both children, the output fusions and their masks, and
+   [fids], each output fusion's group id. *)
+type node_cases = {
+  bits : int Index.Map.t;
+  lcases : case array;
+  rcases : case array;
+  lsides : Legal.side array;
+  rsides : Legal.side array;
+  f_outs : Index.Set.t array;
+  outs : int array;
+  fids : int array;
+}
+
+(* A pinned leaf (a shared intermediate of a sum, materialized earlier in
+   [stored] over [rep_order]) is consumed under producer rules; its
+   effective production distribution is the stored one renamed
+   positionally onto this occurrence's indices. *)
+let prod_of ctx = function
+  | Csol s -> Some s.prod_dist
+  | Cleaf a ->
+    Option.map
+      (fun (rep_order, stored) ->
+        Dist.rename stored ~from:rep_order ~into:(Aref.indices a))
+      (SMap.find_opt (Aref.name a) ctx.pinned)
+  | Cpresum _ -> None
+
+let make_case ctx bits (kind, fused, prod) =
+  let rows = Grid.rows ctx.cfg.grid and cols = Grid.cols ctx.cfg.grid in
+  let internal =
+    match kind with Csol _ | Cpresum _ -> true | Cleaf _ -> false
+  in
+  {
+    kind;
+    cfused = fused;
+    leg = { Legal.fm = mask bits fused; internal };
+    prod;
+    prod_m =
+      (match prod with
+      | Some d -> mask_of_list bits (Dist.indices d)
+      | None -> 0);
+    pin_words =
+      (match (kind, prod) with
+      | Cleaf a, Some p ->
+        (* a pinned value is charged resident, unreduced: it outlives
+           this term *)
+        Eqs.dist_size_rect ctx.ext ~rows ~cols ~alpha:p ~fused:Index.Set.empty
+          ~dims:(Aref.indices a)
+      | _ -> 0);
+  }
+
+(* The node's cases and bit assignment; [None] when its indices do not
+   fit one mask. *)
+let node_cases ctx contraction ~left ~right ~f_out_candidates =
+  let with_prod =
+    List.map (fun (kind, fused) -> (kind, fused, prod_of ctx kind))
+  in
+  let left = with_prod left and right = with_prod right in
+  let f_outs = Array.of_list f_out_candidates in
+  let indices (_, fused, prod) =
+    Index.Set.union fused
+      (Index.set_of_list (Option.fold ~none:[] ~some:Dist.indices prod))
+  in
+  Option.map
+    (fun bits ->
+      let lcases = Array.of_list (List.map (make_case ctx bits) left) in
+      let rcases = Array.of_list (List.map (make_case ctx bits) right) in
+      {
+        bits;
+        lcases;
+        rcases;
+        lsides = Array.map (fun c -> c.leg) lcases;
+        rsides = Array.map (fun c -> c.leg) rcases;
+        f_outs;
+        outs = Array.map (mask bits) f_outs;
+        fids = first_ids (Array.map fused_key f_outs);
+      })
+    (bits_of
+       (universe contraction
+          (List.map indices (left @ right) @ f_out_candidates)))
+
+(* Per fused set of one (variant, role), computed once: the block's words
+   (its message size when it rotates or is redistributed), its rotation
+   cost and its redistribution cost. *)
+let role_costs ctx variant role =
+  let cfg = ctx.cfg and ext = ctx.ext in
+  let rows = Grid.rows cfg.grid and cols = Grid.cols cfg.grid in
+  let alpha = Variant.dist_of variant role in
+  let dims = Variant.array_dims variant role in
+  let axis = Variant.axis_of variant role in
+  let seen = Hashtbl.create 8 in
+  fun fm fused ->
+    match Hashtbl.find_opt seen fm with
+    | Some e -> e
+    | None ->
+      let words = Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused ~dims in
+      let rc =
+        match axis with
+        | None -> 0.0
+        | Some axis ->
+          Eqs.rotate_cost_rect ~rcost:cfg.rcost ext ~alpha ~fused ~dims ~axis
+      in
+      let rdc =
+        cfg.redist_factor
+        *. float_of_int
+             (Eqs.msg_factor_rect ext ~rows ~cols ~alpha ~fused ~dims)
+        *. Rcost.query cfg.rcost ~axis:1 ~words
+      in
+      let e = (words, rc, rdc) in
+      Hashtbl.add seen fm e;
+      e
+
+(* One child's cases under one variant. *)
+let variant_sides ctx bits variant role cases =
+  let ext = ctx.ext in
+  let rows = Grid.rows ctx.cfg.grid and cols = Grid.cols ctx.cfg.grid in
+  let alpha = Variant.dist_of variant role in
+  let cons_m = mask_of_list bits (Dist.indices alpha) in
+  let rotated = Variant.rotates variant role in
+  let costs = role_costs ctx variant role in
+  Array.map
+    (fun c ->
+      let words, rc, rdc = costs c.leg.fm c.cfused in
+      (* Consuming a produced (or pinned) array is free when the contents
+         agree; otherwise it is redistributed, which under fusion is legal
+         only when every fused index is distributed at both ends or at
+         neither — the paper's constraint (iii). *)
+      let redist, illegal =
+        match c.prod with
+        | None -> (false, false)
+        | Some _ when c.prod_m = cons_m -> (false, false)
+        | Some _ -> (true, c.leg.fm land (c.prod_m lxor cons_m) <> 0)
+      in
+      let resident =
+        match c.kind with
+        | Cleaf _ when c.prod <> None -> c.pin_words
+        | Cleaf a ->
+          (* inputs materialize in the required distribution for free *)
+          Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused:Index.Set.empty
+            ~dims:(Aref.indices a)
+        | Cpresum { out; source; _ } ->
+          (* the source input stays fully resident; the reduced array is
+             stored under the edge fusion *)
+          Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused:Index.Set.empty
+            ~dims:(Aref.indices source)
+          + Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused:c.cfused
+              ~dims:(Aref.indices out)
+        | Csol _ -> 0
+      in
+      let ccost, cmem, crots =
+        match c.kind with
+        | Csol s -> (s.cost, s.mem, s.rots)
+        | Cleaf _ | Cpresum _ -> (0.0, Memacct.empty, 0)
+      in
+      {
+        vc = c;
+        ccost;
+        res = cmem.Memacct.resident_words + resident;
+        buf =
+          (if rotated || redist then max cmem.Memacct.buffer_words words
+           else cmem.Memacct.buffer_words);
+        rc = (if rotated then rc else 0.0);
+        rdc = (if redist then rdc else 0.0);
+        redist;
+        illegal;
+        crots;
+      })
+    cases
+
+(* The candidates of one Cannon variant: its (left case × right case ×
+   output fusion) block, legal combinations within the memory limit
+   pushed in front, so the list is the enumeration order reversed. *)
+let enumerate ctx nc vi =
+  check_cancel ctx;
+  let cfg = ctx.cfg in
+  let variant = vi.variant in
+  let vl = variant_sides ctx nc.bits variant Variant.Left nc.lcases in
+  let vr = variant_sides ctx nc.bits variant Variant.Right nc.rcases in
+  let vo =
+    let costs = role_costs ctx variant Variant.Out in
+    Array.mapi
+      (fun oi f ->
+        let words, orc, _ = costs nc.outs.(oi) f in
+        {
+          ofused = f;
+          fid = nc.fids.(oi);
+          ores = words;
+          obuf = (if vi.out_rot = 1 then words else 0);
+          orc;
+        })
+      nc.f_outs
+  in
+  let rotated = Variant.rotated variant in
+  let limit = mem_limit cfg in
+  let nf = Array.length nc.f_outs in
+  let acc = ref [] in
+  Legal.iter (Legal.make nc.bits cfg variant) ~left:nc.lsides ~right:nc.rsides
+    ~outs:nc.outs (fun li ri oi ->
+      let l = vl.(li) and r = vr.(ri) in
+      if not (l.illegal || r.illegal) then begin
+        let o = vo.(oi) in
+        (* Summed in the order the plan lists them: rotations, then
+           redistributions. *)
+        let rot =
+          List.fold_left
+            (fun a (role, _) ->
+              a
+              +.
+              match role with
+              | Variant.Out -> o.orc
+              | Variant.Left -> l.rc
+              | Variant.Right -> r.rc)
+            0.0 rotated
+        in
+        let red = if l.redist then 0.0 +. l.rdc else 0.0 in
+        let red = if r.redist then red +. r.rdc else red in
+        let mem =
+          {
+            Memacct.resident_words = l.res + r.res + o.ores;
+            buffer_words = max (max l.buf r.buf) o.obuf;
+          }
+        in
+        let bytes = Memacct.node_bytes cfg.params mem in
+        if bytes <= limit then
+          acc :=
+            {
+              cost = l.ccost +. r.ccost +. rot +. red;
+              bytes;
+              mem;
+              rots = l.crots + r.crots + vi.out_rot;
+              v = vi;
+              l;
+              r;
+              o;
+              gid = (vi.cid * nf) + o.fid;
+            }
+            :: !acc
+      end);
+  !acc
+
 (* Solutions of the subtree rooted at [node]; [parent] provides the fusion
    candidates for the edge above (None at the root: fusion is empty). *)
 let rec solve ctx ~parent node =
@@ -591,7 +1062,6 @@ let rec solve ctx ~parent node =
 
 and solve_contract ctx ~contraction ~f_out_candidates node l r =
   let ( let* ) = Result.bind in
-  let cfg = ctx.cfg and ext = ctx.ext in
   (* The coarse unit of work: when both children carry their own
      contractions, solve them as two independent DP tasks (the right one
      lands on this domain's deque, where an idle domain steals it).
@@ -599,7 +1069,7 @@ and solve_contract ctx ~contraction ~f_out_candidates node l r =
      touching the right subtree; the parallel arm evaluates both but
      reports the left error first, so the surfaced error — like the
      solutions — is identical for every jobs setting. *)
-  let* left_cases, right_cases =
+  let* left, right =
     match ctx.pool with
     | Some p
       when contract_weight l >= fork_grain && contract_weight r >= fork_grain
@@ -617,87 +1087,60 @@ and solve_contract ctx ~contraction ~f_out_candidates node l r =
       let* rcs = child_cases ctx node r in
       Ok (lcs, rcs)
   in
-  let rows = Grid.rows cfg.grid and cols = Grid.cols cfg.grid in
-  let flops = Contraction.flops ext contraction in
   let out_aref = contraction.Contraction.out in
-  (* One task per Cannon variant: each walks its (left case × right case ×
-     parent fusion) block and pushes hits in front, so a task's list is its
-     chronological order reversed — exactly what the historical single
-     [solutions := sol :: !solutions] accumulator produced per variant. *)
-  let enumerate variant =
-    check_cancel ctx;
-    let alpha_out = Variant.dist_of variant Variant.Out in
-    let acc = ref [] in
-    List.iter
-      (fun (left_case, f_left) ->
-        List.iter
-          (fun (right_case, f_right) ->
-            List.iter
-              (fun f_out ->
-                (* Presummed children store their reduced array under
-                   the edge fusion, so like internal children their
-                   fused loops force the node's nesting. *)
-                let internal = function
-                  | Csol _ | Cpresum _ -> true
-                  | Cleaf _ -> false
-                in
-                let forcing =
-                  forcing_set ~f_out ~f_left ~f_right
-                    ~left_internal:(internal left_case)
-                    ~right_internal:(internal right_case)
-                in
-                if
-                  Fusionset.chain [ f_left; f_right; f_out ]
-                  && rotated_context_ok variant ~forcing ~f_out ~f_left
-                       ~f_right
-                  && (cfg.allow_distributed_fusion
-                     || List.for_all
-                          (fun role ->
-                            Index.Set.for_all
-                              (fun t ->
-                                not
-                                  (Dist.distributes
-                                     (Variant.dist_of variant role) t))
-                              (fused_of_role ~f_out ~f_left ~f_right role))
-                          [ Variant.Out; Variant.Left; Variant.Right ])
-                then begin
-                  match
-                    combine cfg ext ~rows ~cols ~pinned:ctx.pinned ~variant
-                      ~contraction ~flops ~alpha_out ~f_out ~f_left ~f_right
-                      ~left_case ~right_case ~out_aref
-                  with
-                  | None -> ()
-                  | Some sol -> acc := sol :: !acc
-                end)
-              f_out_candidates)
-          right_cases)
-      left_cases;
-    !acc
-  in
+  match node_cases ctx contraction ~left ~right ~f_out_candidates with
+  | None ->
+    err "node %s mentions more indices than the search's %d-bit masks hold"
+      (Aref.name out_aref) Sys.int_size
+  | Some nc ->
   let variants = Array.of_list (Variant.all contraction) in
-  (* Fan the per-variant blocks out only when each is big enough to
-     amortize a task; small nodes run the plain loop on this domain. *)
+  let ckeys =
+    Array.map (fun v -> content_key (Variant.dist_of v Variant.Out)) variants
+  in
+  let cids = first_ids ckeys in
+  let vinfos =
+    Array.mapi
+      (fun k variant ->
+        let alpha_out = Variant.dist_of variant Variant.Out in
+        {
+          variant;
+          alpha_out;
+          okey = orient_key alpha_out;
+          ckey = ckeys.(k);
+          cid = cids.(k);
+          out_rot = (if Variant.rotates variant Variant.Out then 1 else 0);
+        })
+      variants
+  in
+  (* One task per Cannon variant, fanned out only when each block is big
+     enough to amortize a task; small nodes run the plain loop on this
+     domain. *)
   let block =
-    List.length left_cases * List.length right_cases
-    * List.length f_out_candidates
+    Array.length nc.lcases * Array.length nc.rcases * Array.length nc.f_outs
   in
   let per_variant =
     match ctx.pool with
     | Some p when Array.length variants > 1 && block >= fanout_min ->
-      Parsearch.map_array p enumerate variants
-    | _ -> Array.map enumerate variants
+      Parsearch.map_array p (enumerate ctx nc) vinfos
+    | _ -> Array.map (enumerate ctx nc) vinfos
   in
   (* Reversing the variant order before concatenation reproduces the
      single-accumulator list (last variant's pushes in front), keeping the
      enumeration-order tie-break identical for every [jobs] setting. *)
-  let sols = List.concat (List.rev (Array.to_list per_variant)) in
-  let generated = List.length sols in
-  let sols =
+  let cands = List.concat (List.rev (Array.to_list per_variant)) in
+  let generated = List.length cands in
+  let view = cand_view (Array.map fused_key nc.f_outs) in
+  let cands =
     if ctx.prune then
-      prune_solutions ?pool:ctx.pool ~fan_min:fanout_min cfg sols
-    else sols
+      Pareto.prune ?pool:ctx.pool ~fan_min:fanout_min view (Array.of_list cands)
+    else cands
   in
-  let sols = beam_filter cfg ctx.beam sols in
+  let flops = Contraction.flops ctx.ext contraction in
+  let sols =
+    List.map
+      (materialize ctx.ext ~contraction ~flops)
+      (Pareto.beam view ctx.beam cands)
+  in
   if Obs.enabled () then begin
     let kept = List.length sols in
     Obs.count "search.nodes";
@@ -714,7 +1157,7 @@ and solve_contract ctx ~contraction ~f_out_candidates node l r =
   end;
   if sols = [] then
     err "no feasible solution at node %s under the %a memory limit"
-      (Aref.name out_aref) Units.pp_bytes_si (mem_limit cfg)
+      (Aref.name out_aref) Units.pp_bytes_si (mem_limit ctx.cfg)
   else Ok sols
 
 (* The consumption options for one child: for an internal child each of its
@@ -741,148 +1184,6 @@ and child_cases ctx parent_node child =
   | _ ->
     let* sols = solve ctx ~parent:(Some parent_node) child in
     Ok (List.map (fun s -> (Csol s, s.fused)) sols)
-
-(* Assemble one candidate solution at a contraction node; [None] when the
-   combination is illegal or over the memory limit. *)
-and combine cfg ext ~rows ~cols ~pinned ~variant ~contraction ~flops
-    ~alpha_out
-    ~f_out ~f_left ~f_right ~left_case ~right_case ~out_aref =
-  let consume role case fused =
-    match case with
-    | Cleaf a -> begin
-      match SMap.find_opt (Aref.name a) pinned with
-      | Some (rep_order, stored) ->
-        (* A shared intermediate of a sum, materialized earlier in
-           [stored] over [rep_order]; renaming positionally onto this
-           occurrence's indices gives its effective production
-           distribution. Consumption follows producer rules — free when
-           content-equal, otherwise a costed redistribution — and the
-           stored value is charged resident (unreduced: it outlives this
-           term). *)
-        let prod = Dist.rename stored ~from:rep_order ~into:(Aref.indices a) in
-        let resident =
-          Eqs.dist_size_rect ext ~rows ~cols ~alpha:prod
-            ~fused:Index.Set.empty ~dims:(Aref.indices a)
-        in
-        begin
-          match redistribution cfg ext ~variant ~role ~fused ~prod with
-          | Error `Illegal -> Error `Illegal
-          | Ok rd -> Ok ((resident, []), rd)
-        end
-      | None ->
-        (* Inputs materialize in the required distribution for free. *)
-        let alpha = Variant.dist_of variant role in
-        let resident =
-          Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused:Index.Set.empty
-            ~dims:(Aref.indices a)
-        in
-        Ok ((resident, []), None)
-    end
-    | Cpresum { out; sum; source } ->
-      (* The source input stays fully resident; the reduced array is
-         stored under the edge fusion; the reduction itself is local. *)
-      let alpha = Variant.dist_of variant role in
-      let resident =
-        Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused:Index.Set.empty
-          ~dims:(Aref.indices source)
-        + Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused
-            ~dims:(Aref.indices out)
-      in
-      let ps =
-        {
-          Plan.out;
-          sum;
-          source;
-          dist = alpha;
-          fused;
-          flops = Extents.size_of ext (Aref.indices source);
-        }
-      in
-      Ok ((resident, [ ps ]), None)
-    | Csol s -> begin
-      match
-        redistribution cfg ext ~variant ~role ~fused ~prod:s.prod_dist
-      with
-      | Error `Illegal -> Error `Illegal
-      | Ok rd -> Ok ((0, []), rd)
-    end
-  in
-  match
-    ( consume Variant.Left left_case f_left,
-      consume Variant.Right right_case f_right )
-  with
-  | Error `Illegal, _ | _, Error `Illegal -> None
-  | Ok ((res_l, ps_l), rd_l), Ok ((res_r, ps_r), rd_r) ->
-    let rotations =
-      List.map
-        (fun (role, axis) ->
-          let alpha = Variant.dist_of variant role in
-          let fused = fused_of_role ~f_out ~f_left ~f_right role in
-          let dims = Aref.indices (Variant.aref_of variant role) in
-          ( role,
-            Eqs.rotate_cost_rect ~rcost:cfg.rcost ext ~alpha ~fused ~dims
-              ~axis ))
-        (Variant.rotated variant)
-    in
-    let redists = List.filter_map Fun.id [ rd_l; rd_r ] in
-    let cost =
-      child_cost left_case +. child_cost right_case
-      +. List.fold_left (fun a (_, c) -> a +. c) 0.0 rotations
-      +. List.fold_left (fun a rd -> a +. rd.Plan.cost) 0.0 redists
-    in
-    let mem =
-      let m =
-        Memacct.merge (child_mem left_case) (child_mem right_case)
-      in
-      let m = Memacct.add_resident m (res_l + res_r) in
-      let m =
-        Memacct.add_resident m
-          (Eqs.dist_size_rect ext ~rows ~cols ~alpha:alpha_out
-             ~fused:f_out ~dims:(Aref.indices out_aref))
-      in
-      let m =
-        List.fold_left
-          (fun m (role, _) ->
-            let alpha = Variant.dist_of variant role in
-            let fused = fused_of_role ~f_out ~f_left ~f_right role in
-            let dims = Aref.indices (Variant.aref_of variant role) in
-            Memacct.add_message m
-              (Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused ~dims))
-          m (Variant.rotated variant)
-      in
-      List.fold_left
-        (fun m rd ->
-          let dims = Aref.indices (Variant.aref_of variant rd.Plan.role) in
-          let fused = fused_of_role ~f_out ~f_left ~f_right rd.Plan.role in
-          Memacct.add_message m
-            (Eqs.dist_size_rect ext ~rows ~cols ~alpha:rd.Plan.to_dist ~fused
-               ~dims))
-        m redists
-    in
-    if not (fits cfg mem) then None
-    else
-      let step =
-        {
-          Plan.contraction;
-          variant;
-          fusion_out = f_out;
-          fusion_left = f_left;
-          fusion_right = f_right;
-          rotations;
-          redists;
-          flops;
-        }
-      in
-      Some
-        {
-          prod_dist = alpha_out;
-          fused = f_out;
-          cost;
-          mem;
-          steps = child_steps left_case @ child_steps right_case @ [ step ];
-          presums =
-            child_presums left_case @ child_presums right_case @ ps_l @ ps_r;
-        }
 
 let check_grid cfg =
   if
@@ -981,7 +1282,7 @@ let optimize_min_memory ?jobs ?memo ?beam ?cancel ?pool cfg ext tree =
   (* Lexicographic (memory, communication): the "fuse as much as legally
      possible first, then distribute" discipline of the sequential
      prior work, transplanted into the parallel legality space. *)
-  let select a b =
+  let select (a : solution) (b : solution) =
     match
       Float.compare
         (Memacct.node_bytes cfg.params a.mem)
@@ -1165,7 +1466,7 @@ let run_sum ?(select = better) ?jobs ?memo ?beam ?fusion_cap ?cancel ?pool
     Eqs.dist_size_rect ext ~rows ~cols ~alpha:sol.prod_dist
       ~fused:Index.Set.empty ~dims:g.Sumexpr.rep_order
   in
-  let feasible extra sol =
+  let feasible extra (sol : solution) =
     Memacct.node_bytes cfg.params (Memacct.add_resident sol.mem extra) <= limit
   in
   let best = ref None in

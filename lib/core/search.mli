@@ -187,6 +187,53 @@ val brute_force : config -> Extents.t -> Tree.t -> (Plan.t, string) result
     whole tree with no dominance pruning and no memo cache — exponential;
     the test oracle for {!optimize}. *)
 
+(** {2 DP internals checked by the test oracles}
+
+    The legality filter and the pruning pass are exposed so the test
+    suite can compare them against frozen reference implementations
+    (the [Index.Set] legality conjunction and the pairwise dominance
+    scan); {!brute_force} runs the same filter, so it cannot catch a
+    filter bug on its own. *)
+
+module Legal : sig
+  val admitted :
+    config -> Variant.t -> left:(Index.Set.t * bool) list
+    -> right:(Index.Set.t * bool) list -> f_out:Index.Set.t list
+    -> (int * int * int) list
+  (** [admitted cfg variant ~left ~right ~f_out] lists, in enumeration
+      order (left × right × out), the positions of every combination the
+      search admits at a node under [variant]. A left or right option is
+      its edge fusion set and whether it forces the node's nesting (an
+      intermediate or presummed child does, an input leaf does not). *)
+end
+
+module Pareto : sig
+  type 'a view = {
+    cost : 'a -> float;
+    bytes : 'a -> float;  (** node bytes *)
+    rots : 'a -> int;  (** output rotations *)
+    okey : 'a -> string;  (** oriented production-distribution key *)
+    group : 'a -> int;
+        (** dense group id from 0: equal ids iff equal [group_key]s *)
+    group_key : 'a -> string * string;
+        (** (production-distribution content, fused-set key) *)
+  }
+
+  val prune :
+    ?pool:Parsearch.t -> ?fan_min:int -> 'a view -> 'a array -> 'a list
+  (** Pareto pruning within groups, with the tie-break documented above,
+      by one sort-and-sweep per group. Groups are emitted in the fold
+      order of a size-32 [Hashtbl] keyed by [group_key] (keys inserted in
+      item order), last visited first; survivors within a group in
+      reverse item order. With [?pool], groups are filtered on its
+      domains when there are at least [?fan_min] items. *)
+
+  val beam : 'a view -> int option -> 'a list -> 'a list
+  (** [beam v (Some k) items] keeps the [k] first items under (cost,
+      bytes, rots, okey, fused-set key, position), in that order; [None]
+      or a short list returns [items] unchanged. *)
+end
+
 (** {2 Multi-term sums with cross-term CSE (DESIGN.md §16)}
 
     A sum [O = Σᵢ cᵢ·Tᵢ] is planned in two phases: the cross-term shared

@@ -16,6 +16,7 @@ let () =
          T_fusion.suite;
          T_search.suite;
          T_searchprop.suite;
+         T_searchoracle.suite;
          T_strategy.suite;
          T_machine.suite;
          T_fault.suite;
